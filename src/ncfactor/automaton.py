@@ -138,10 +138,6 @@ class TransitionMatrices:
         return self.mx if letter == X else self.my
 
 
-def transition_matrices(automaton):
-    return TransitionMatrices(automaton)
-
-
 def recover_circuit(c, automaton):
     """Symbolic matrix evaluation of a bivariate circuit at (M_x, M_y).
 
@@ -151,7 +147,7 @@ def recover_circuit(c, automaton):
     materialized, and the result is pruned to gates reachable from the
     output.
     """
-    tm = transition_matrices(automaton)
+    tm = TransitionMatrices(automaton)
     nq = automaton.n_states
     field = c.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
@@ -243,7 +239,7 @@ def _blown_label(label, q1, q2, tm, out_alphabet):
 def recover_abp(p, automaton):
     """Block construction: node u becomes (u, q) for every state q; one
     extra layer collects (sink, qf) and (sink, q0) with unit edges."""
-    tm = transition_matrices(automaton)
+    tm = TransitionMatrices(automaton)
     nq = automaton.n_states
     field = p.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
@@ -277,7 +273,7 @@ def recover_blackbox(bb, automaton, field):
     """Given a black-box for an embedded polynomial, return one for its
     preimage: blow each input T_i up to (|Q|*N) x (|Q|*N) block matrices
     patterned on M_x / M_y and read off blocks (q0,qf) + (q0,q0)."""
-    tm = transition_matrices(automaton)
+    tm = TransitionMatrices(automaton)
     nq = automaton.n_states
     q0, qf = automaton.q0, automaton.qf
     bivariate = Alphabet.bivariate()

@@ -13,14 +13,15 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
+from ncfactor import textio
 from ncfactor.automaton import (build_automaton, recover_abp, recover_circuit,
                                 reduce_and_recover)
 from ncfactor.circuits import Abp, Circuit, MatrixAssignment, circuit_from_poly, eval_word
 from ncfactor.embedding import Embedding, phi_abp, phi_circuit, phi_poly
 from ncfactor.errors import BudgetExceededError, FormatError
 from ncfactor.factoring import DEFAULT_BUDGET, complete_factorizations
+from ncfactor.fields import QQ
 from ncfactor.linmat import (FactorizationCert, LinearMatrix, factor_3x3,
                              Irreducible, product_linear, quaternion_linmat,
                              verify_cert, zdiv_to_factorization,
@@ -50,15 +51,11 @@ def _read(path):
 
 
 def _load_any(path):
-    text = _read(path)
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
-    if head == "ncpoly":
-        return NcPoly.from_text(text)
-    if head == "ncc":
-        return Circuit.from_text(text)
-    if head == "ncabp":
-        return Abp.from_text(text)
-    raise FormatError("unrecognized input header %r in %s" % (head, path))
+    return textio.read(_read(path), NcPoly, Circuit, Abp)
+
+
+def _alpha_beta(args):
+    return QQ.parse(args.alpha), QQ.parse(args.beta)
 
 
 def cmd_words(args):
@@ -157,22 +154,18 @@ def cmd_factor_linmat3(args):
 
 
 def cmd_quaternion_build(args):
-    lin = quaternion_linmat(Fraction(args.alpha), Fraction(args.beta))
+    lin = quaternion_linmat(*_alpha_beta(args))
     _write_out(lin.to_text(), args.output)
     return 0
 
 
-def _parse_quaternion(alpha, beta, text):
-    parts = text.split(",")
+def cmd_quaternion_zdiv2fact(args):
+    alpha, beta = _alpha_beta(args)
+    parts = args.z.split(",")
     if len(parts) != 4:
         raise FormatError("quaternion literal needs four comma-separated rationals")
-    return Quaternion(Fraction(alpha), Fraction(beta),
-                      tuple(Fraction(p.strip()) for p in parts))
-
-
-def cmd_quaternion_zdiv2fact(args):
-    z = _parse_quaternion(args.alpha, args.beta, args.z)
-    cert = zdiv_to_factorization(Fraction(args.alpha), Fraction(args.beta), z)
+    z = Quaternion(alpha, beta, tuple(QQ.parse(p.strip()) for p in parts))
+    cert = zdiv_to_factorization(alpha, beta, z)
     _write_out(cert.to_text(), args.output)
     return 0
 
@@ -188,7 +181,7 @@ def cmd_quaternion_fact2zdiv(args):
     front = product_linear(cert.factors[:-1])
     f = front.lmul(pinv)
     g = cert.factors[-1].rmul(qinv)
-    z1, z2 = factorization_to_zdiv(Fraction(args.alpha), Fraction(args.beta), f, g)
+    z1, z2 = factorization_to_zdiv(*_alpha_beta(args), f, g)
     out = "z1 %s\nz2 %s\n" % (",".join(str(c) for c in z1.coords),
                               ",".join(str(c) for c in z2.coords))
     _write_out(out, args.output)

@@ -214,14 +214,6 @@ def parse_field(spec):
     """Inverse of field_spec."""
     if spec == "Q":
         return QQ
-    if spec.startswith("Fp:"):
-        try:
-            return PrimeField(int(spec[3:]))
-        except ValueError as exc:
-            raise FormatError("bad field spec %r" % spec) from exc
     if spec.startswith("F"):
-        try:
-            return PrimeField(int(spec[1:]))
-        except ValueError as exc:
-            raise FormatError("bad field spec %r" % spec) from exc
+        return PrimeField(int(spec[3:] if spec.startswith("Fp:") else spec[1:]))
     raise FormatError("bad field spec %r" % spec)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ncfactor import textio
 from ncfactor.errors import FormatError
 from ncfactor.fields import QQ
 from ncfactor.matrix import Matrix, matvec, rational_roots
@@ -108,38 +109,26 @@ class LinearMatrix:
 
     # -- serialization -------------------------------------------------
 
+    KIND = "linmat"
+
     def to_text(self):
         lines = ["linmat d=%d n=%d field=Q" % (self.d, self.n)]
         for m in self.mats:
-            for row in m.rows:
-                lines.append(" ".join(str(x) for x in row))
+            lines.extend(textio.matrix_lines(m))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("linmat "):
-            raise FormatError("missing linmat header")
-        head = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-        try:
-            d, n = int(head["d"]), int(head["n"])
-            if head.get("field", "Q") != "Q":
-                raise FormatError("linear matrices are rational only")
-        except (KeyError, ValueError) as exc:
-            raise FormatError("bad linmat header") from exc
-        body = lines[1:]
-        if len(body) != (n + 1) * d:
-            raise FormatError("expected %d matrix rows, got %d" % ((n + 1) * d, len(body)))
-        mats = []
-        for b in range(n + 1):
-            rows = []
-            for i in range(d):
-                entries = body[b * d + i].split()
-                if len(entries) != d:
-                    raise FormatError("bad matrix row %r" % body[b * d + i])
-                rows.append([Fraction(x) for x in entries])
-            mats.append(Matrix(QQ, rows))
-        return cls(mats)
+        return textio.read(text, cls)
+
+    @classmethod
+    def _from_lines(cls, head, lines):
+        d, n = int(head["d"]), int(head["n"])
+        if head.get("field", "Q") != "Q":
+            raise FormatError("linear matrices are rational only")
+        if len(lines) != (n + 1) * d:
+            raise FormatError("expected %d matrix rows, got %d" % ((n + 1) * d, len(lines)))
+        return cls([textio.read_matrix(lines, b * d, d) for b in range(n + 1)])
 
 
 class FactorizationCert:
@@ -164,57 +153,42 @@ class FactorizationCert:
         return "FactorizationCert(%d factors, %d nontrivial)" % (
             len(self.factors), self.nontrivial_count())
 
+    KIND = "cert"
+    UNIT_LINES = {"factor unit=0": False, "factor unit=1": True}
+
     def to_text(self):
         d = self.p.nrows
         n = max((f.n for f in self.factors), default=0)
         lines = ["cert d=%d n=%d field=Q" % (d, n), "P"]
-        lines.extend(" ".join(str(x) for x in row) for row in self.p.rows)
+        lines.extend(textio.matrix_lines(self.p))
         lines.append("Q")
-        lines.extend(" ".join(str(x) for x in row) for row in self.q.rows)
+        lines.extend(textio.matrix_lines(self.q))
         for factor, flag in zip(self.factors, self.unit_flags):
             lines.append("factor unit=%d" % (1 if flag else 0))
             for m in factor.mats:
-                lines.extend(" ".join(str(x) for x in row) for row in m.rows)
+                lines.extend(textio.matrix_lines(m))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("cert "):
-            raise FormatError("missing cert header")
-        head = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-        try:
-            d, n = int(head["d"]), int(head["n"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError("bad cert header") from exc
+        return textio.read(text, cls)
 
-        def read_matrix(pos):
-            rows = []
-            for i in range(d):
-                entries = lines[pos + i].split()
-                if len(entries) != d:
-                    raise FormatError("bad matrix row %r" % lines[pos + i])
-                rows.append([Fraction(x) for x in entries])
-            return Matrix(QQ, rows), pos + d
-
-        pos = 1
-        if lines[pos] != "P":
+    @classmethod
+    def _from_lines(cls, head, lines):
+        d, n = int(head["d"]), int(head["n"])
+        if lines[0] != "P":
             raise FormatError("expected P block")
-        p, pos = read_matrix(pos + 1)
-        if lines[pos] != "Q":
+        p = textio.read_matrix(lines, 1, d)
+        if lines[d + 1] != "Q":
             raise FormatError("expected Q block")
-        q, pos = read_matrix(pos + 1)
+        q = textio.read_matrix(lines, d + 2, d)
         factors, flags = [], []
+        pos = 2 * d + 2
         while pos < len(lines):
-            if not lines[pos].startswith("factor unit="):
-                raise FormatError("expected factor block at %r" % lines[pos])
-            flags.append(lines[pos].split("=", 1)[1] == "1")
-            pos += 1
-            mats = []
-            for _ in range(n + 1):
-                m, pos = read_matrix(pos)
-                mats.append(m)
-            factors.append(LinearMatrix(mats))
+            flags.append(cls.UNIT_LINES[lines[pos]])
+            factors.append(LinearMatrix([textio.read_matrix(lines, pos + 1 + k * d, d)
+                                         for k in range(n + 1)]))
+            pos += 1 + (n + 1) * d
         return cls(p, q, factors, flags)
 
 
@@ -478,11 +452,6 @@ def _lift_factor(factor, d, where):
     return LinearMatrix(mats)
 
 
-def _diag_factor(block, d, where):
-    """diag(A, I) or diag(I, B) as a d x d linear matrix."""
-    return _lift_factor(block, d, where)
-
-
 def _unip_factor(ds, d, k):
     """[[I,0],[D,I]] with D = sum D_i x_i sitting under the top-left k block."""
     mats = [Matrix.identity(QQ, d)]
@@ -551,13 +520,13 @@ def _factor_small(L):
         top, ds, bottom = _conj_split(L, p, d - 1)
         factors, flags = [], []
         if top.degree:
-            factors.append(_diag_factor(top, d, "top"))
+            factors.append(_lift_factor(top, d, "top"))
             flags.append(False)
         if any(not x.is_zero() for x in ds):
             factors.append(_unip_factor(ds, d, d - 1))
             flags.append(True)
         if bottom.degree:
-            factors.append(_diag_factor(bottom, d, "bottom"))
+            factors.append(_lift_factor(bottom, d, "bottom"))
             flags.append(False)
         count = sum(1 for f in flags if not f)
         cand = (count, p, factors, flags)
@@ -651,13 +620,13 @@ def factor_3x3(L):
                 factors.append(_unip_factor(moved, 3, 2))
                 flags.append(True)
             if bottom.degree:
-                factors.append(_diag_factor(bottom, 3, "bottom"))
+                factors.append(_lift_factor(bottom, 3, "bottom"))
                 flags.append(False)
         else:
             big_p = _embed_bottom(p2, 3) * p * pre
             big_q = p.inverse() * _embed_bottom(q2, 3)
             if top.degree:
-                factors.append(_diag_factor(top, 3, "top"))
+                factors.append(_lift_factor(top, 3, "top"))
                 flags.append(False)
             moved = [p2 * di for di in ds]
             if any(not x.is_zero() for x in moved):
@@ -719,12 +688,12 @@ def zdiv_to_factorization(alpha, beta, z):
     assert 1 <= r <= 3, "a zero divisor generates a proper nonzero left ideal"
     p = Matrix(QQ, _complete_basis(rows, 4))
     top, ds, bottom = _conj_split(L, p, r)
-    factors = [_diag_factor(top, 4, "top")]
+    factors = [_lift_factor(top, 4, "top")]
     flags = [False]
     if any(not x.is_zero() for x in ds):
         factors.append(_unip_factor(ds, 4, r))
         flags.append(True)
-    factors.append(_diag_factor(bottom, 4, "bottom"))
+    factors.append(_lift_factor(bottom, 4, "bottom"))
     flags.append(False)
     cert = FactorizationCert(p, p.inverse(), factors, flags)
     assert verify_cert(cert, L), "gadget certificate must verify"

@@ -315,16 +315,6 @@ def upoly_eval(p, x):
     return acc
 
 
-def charpoly(m):
-    """det(tI - M) as an ascending coefficient tuple (monic)."""
-    return m.charpoly()
-
-
-def nullspace(m):
-    """Exact basis of the right nullspace of M."""
-    return m.nullspace()
-
-
 def rational_roots(coeffs):
     """Rational roots (with multiplicity) of a nonzero rational polynomial.
 

@@ -96,11 +96,6 @@ class WordSet:
                 raise ValueError("word is not minimally balanced")
         if len(set(words)) != len(words):
             raise ValueError("duplicate words")
-        for i, w1 in enumerate(words):
-            for w2 in words[i + 1:]:
-                shorter, longer = sorted((w1, w2), key=len)
-                assert longer[:len(shorter)] != shorter, \
-                    "minimally balanced words should be prefix-free"
         self.n = len(words)
         self.words = words
         self.mode = mode

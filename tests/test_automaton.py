@@ -3,7 +3,7 @@ from itertools import product
 
 from ncfactor.automaton import (OUT_ONE, OUT_ZERO, build_automaton, recover_abp,
                                 recover_blackbox, recover_circuit,
-                                reduce_and_recover, transition_matrices)
+                                reduce_and_recover, TransitionMatrices)
 from ncfactor.circuits import Abp, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
@@ -75,7 +75,7 @@ def test_build_automaton_paper_depth():
 
 def test_transition_matrix_entries():
     a = build_automaton(WordSet([w("xy")], "compact"))
-    tm = transition_matrices(a)
+    tm = TransitionMatrices(a)
     q0, q1, qf, qr = a.q0, a.root, a.qf, a.qr
     assert tm.mx[q0][q1] == OUT_ONE
     assert tm.mx[qf][q1] == OUT_ONE

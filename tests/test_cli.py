@@ -1,6 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from ncfactor import cli
 from ncfactor.circuits import circuit_from_poly
 from ncfactor.fields import GF2, QQ
 from ncfactor.ncpoly import Alphabet, NcPoly
@@ -182,3 +186,56 @@ def test_error_exit_codes(tmp_path):
     code, _, err = run_cli(["factor-dense", str(f2), "--budget", "4"])
     assert code == 2
     assert err.startswith("error: budget:")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+CERT_LINES = (GOLDEN / "zdiv2fact_9_5.txt").read_text().splitlines(keepends=True)
+NCC = "ncc field=Q alphabet=x1..x2\n"
+ABP = "ncabp field=Q alphabet=x1..x2 layers=3\n"
+EVAL = ["eval", "{}", "--dim", "1", "--seed", "0"]
+VERIFY = ["verify-cert", "{}", str(GOLDEN / "quaternion_build_9_5.txt")]
+
+# Each file is malformed; "{}" in the arguments stands for its path.
+MALFORMED_FILES = [
+    ("var-without-operand", NCC + "g0 = VAR\noutput g0\n", EVAL),
+    ("add-with-one-operand", NCC + "g0 = VAR x1\ng1 = ADD g0\noutput g1\n", EVAL),
+    ("abp-edge-without-label", ABP + "layer 0\nedge 0 0\n", EVAL),
+    ("cert-cut-after-P", "".join(CERT_LINES[:2]), VERIFY),
+    ("cert-cut-after-factor-line", "".join(CERT_LINES[:12]), VERIFY),
+    ("header-token-without-equals", "ncpoly field=Q alphabet\n1 x\n", EVAL),
+    ("layer-not-a-number", ABP + "layer a\n", EVAL),
+    ("linmat-entry-not-a-number", "linmat d=1 n=1 field=Q\n1\nx\n", ["factor-linmat3", "{}"]),
+    ("gate-forward-reference", NCC + "g0 = VAR x1\ng1 = ADD g0 g5\noutput g1\n", EVAL),
+    ("output-past-last-gate", NCC + "g0 = VAR x1\noutput g7\n", EVAL),
+    ("abp-edge-past-sink", ABP + "layer 0\nedge 0 0 1*x1\nlayer 1\nedge 0 3 1*x2\n", EVAL),
+    ("cert-unit-flag-not-0-or-1",
+     "".join(CERT_LINES).replace("factor unit=0", "factor unit=2", 1), VERIFY),
+]
+
+BAD_LITERALS = [
+    ("alpha-not-rational", ["quaternion-build", "--alpha", "foo", "--beta", "1"]),
+    ("z-not-rational", ["quaternion-zdiv2fact", "--alpha", "1", "--beta", "1",
+                        "--z", "1,x,0,0"]),
+]
+
+
+@pytest.mark.parametrize("text,args", [c[1:] for c in MALFORMED_FILES],
+                         ids=[c[0] for c in MALFORMED_FILES])
+def test_malformed_file_exits_1(tmp_path, capsys, text, args):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([a.format(path) for a in args])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: format:")
+
+
+@pytest.mark.parametrize("args", [c[1] for c in BAD_LITERALS],
+                         ids=[c[0] for c in BAD_LITERALS])
+def test_malformed_literal_exits_1(capsys, args):
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: format:")
+
+
+def test_zero_alpha_is_a_domain_error(capsys):
+    assert cli.main(["quaternion-build", "--alpha", "0", "--beta", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: domain:")

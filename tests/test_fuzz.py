@@ -1,0 +1,109 @@
+"""Seeded mutation fuzzing of the text readers through the CLI.
+
+Each seed file (every golden input, one ABP, and the golden certificate
+with its linear matrix) is mutated by deleting, duplicating, truncating
+and swapping tokens and lines, and every mutant runs in-process through
+a cheap subcommand.  Whatever the mutant, the exit code must be 0, 1 or
+2, a malformed file must be reported as `error: format:`, and no
+exception may escape `cli.main`.
+"""
+
+import contextlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+
+from ncfactor import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CERT = GOLDEN / "zdiv2fact_9_5.txt"
+LINMAT = GOLDEN / "quaternion_build_9_5.txt"
+MUTANTS_PER_SEED = 150
+
+ABP = """\
+ncabp field=Q alphabet=x1..x2 layers=3
+layer 0
+edge 0 0 2 + 1*x1
+edge 0 1 1*x2
+layer 1
+edge 0 0 1*x2
+edge 1 0 -1/2 + 1*x1
+"""
+
+EVAL = ["eval", "{}", "--dim", "1", "--seed", "0"]
+
+
+def _seeds():
+    """(name, seed text, arguments with "{}" for the mutant's path)."""
+    out = []
+    for path in sorted((GOLDEN / "inputs").iterdir()):
+        args = ["factor-linmat3", "{}"] if path.suffix == ".lm" else EVAL
+        out.append((path.name, path.read_text(), args))
+    out.append(("p.ncabp", ABP, EVAL))
+    out.append((CERT.name, CERT.read_text(), ["verify-cert", "{}", str(LINMAT)]))
+    out.append((LINMAT.name, LINMAT.read_text(), ["verify-cert", str(CERT), "{}"]))
+    return out
+
+
+SEEDS = _seeds()
+
+
+def mutate(text, rng):
+    """One to three random edits of the text's lines and tokens."""
+    lines = [ln.split() for ln in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        slots = [(i, j) for i, toks in enumerate(lines) for j, tok in enumerate(toks) if tok]
+        op = rng.randrange(8)
+        if (op < 4 and not lines) or (op >= 4 and not slots):
+            continue
+        if op == 0:
+            del lines[rng.randrange(len(lines))]
+        elif op == 1:
+            i = rng.randrange(len(lines))
+            lines.insert(i, list(lines[i]))
+        elif op == 2:
+            i, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op == 3:
+            del lines[rng.randrange(len(lines)):]
+        elif op == 4:
+            i, j = rng.choice(slots)
+            del lines[i][j]
+        elif op == 5:
+            i, j = rng.choice(slots)
+            lines[i].insert(j, lines[i][j])
+        elif op == 6:
+            (i, j), (k, m) = rng.choice(slots), rng.choice(slots)
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        else:
+            i, j = rng.choice(slots)
+            lines[i][j] = lines[i][j][:rng.randrange(len(lines[i][j]))]
+    return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+def run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("text,args", [s[1:] for s in SEEDS], ids=[s[0] for s in SEEDS])
+def test_mutants_exit_0_1_or_2(tmp_path, text, args):
+    path = tmp_path / "mutant.txt"
+    argv = [a.format(path) for a in args]
+    path.write_text(text)
+    assert run(argv)[0] == 0, "the unmutated seed must run cleanly"
+    rng = random.Random(20230310)
+    for _ in range(MUTANTS_PER_SEED):
+        mutant = mutate(text, rng)
+        path.write_text(mutant)
+        try:
+            code, err = run(argv)
+        except Exception as exc:
+            pytest.fail("%r escaped cli.main on:\n%s" % (exc, mutant))
+        assert code in (0, 1, 2), mutant
+        if code == 1:
+            assert err.startswith("error: format:"), (err, mutant)

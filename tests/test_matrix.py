@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncfactor.fields import GF3, QQ
-from ncfactor.matrix import (Matrix, charpoly, nullspace, rational_roots,
-                             upoly_eval)
+from ncfactor.matrix import Matrix, rational_roots, upoly_eval
 
 
 def rand_matrix(rng, n, lo=-4, hi=4):
@@ -15,16 +14,16 @@ def rand_matrix(rng, n, lo=-4, hi=4):
 
 def test_charpoly_identity_3x3():
     # (t-1)^3 = t^3 - 3t^2 + 3t - 1
-    assert charpoly(Matrix.identity(QQ, 3)) == (-1, 3, -3, 1)
+    assert Matrix.identity(QQ, 3).charpoly() == (-1, 3, -3, 1)
 
 
 def test_charpoly_companion():
     companion = Matrix.from_ints(QQ, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])
-    assert charpoly(companion) == (-2, 0, 0, 1)
+    assert companion.charpoly() == (-2, 0, 0, 1)
 
 
 def test_charpoly_diagonal():
-    assert charpoly(Matrix.from_ints(QQ, [[1, 0], [0, 2]])) == (2, -3, 1)
+    assert Matrix.from_ints(QQ, [[1, 0], [0, 2]]).charpoly() == (2, -3, 1)
 
 
 def test_charpoly_requires_square():
@@ -88,9 +87,9 @@ def test_rational_roots_degree_cap_and_zero():
 
 
 def test_nullspace_examples():
-    assert len(nullspace(Matrix.zeros(QQ, 2, 2))) == 2
-    assert nullspace(Matrix.identity(QQ, 2)) == []
-    basis = nullspace(Matrix.from_ints(QQ, [[1, 1], [1, 1]]))
+    assert len(Matrix.zeros(QQ, 2, 2).nullspace()) == 2
+    assert Matrix.identity(QQ, 2).nullspace() == []
+    basis = Matrix.from_ints(QQ, [[1, 1], [1, 1]]).nullspace()
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == -v[1] and v[0] != 0
