@@ -3,8 +3,9 @@
 Every subcommand is deterministic given its flags and input files, and
 all output formats are canonical, so runs are byte-reproducible; that is
 what the golden-file tests key on.  Domain failures (budgets,
-preconditions) exit 2 with a single machine-parsable line
-`error: <code>: <detail>` on stderr; malformed input files exit 1.
+preconditions) and answers that fail their own check exit 2 with a
+single machine-parsable line `error: <code>: <detail>` on stderr;
+malformed input files exit 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ncfactor.automaton import (build_automaton, recover_abp, recover_circuit,
                                 reduce_and_recover)
 from ncfactor.circuits import Abp, Circuit, MatrixAssignment, circuit_from_poly, eval_word
 from ncfactor.embedding import Embedding, phi_abp, phi_circuit, phi_poly
-from ncfactor.errors import BudgetExceededError, FormatError
+from ncfactor.errors import BudgetExceededError, FormatError, SoundnessError
 from ncfactor.factoring import DEFAULT_BUDGET, complete_factorizations
 from ncfactor.fields import QQ
 from ncfactor.linmat import (FactorizationCert, LinearMatrix, factor_3x3,
@@ -287,6 +288,9 @@ def main(argv=None):
         return 1
     except BudgetExceededError as exc:
         print("error: budget: %s" % exc, file=sys.stderr)
+        return 2
+    except SoundnessError as exc:
+        print("error: soundness: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, AssertionError) as exc:
         print("error: domain: %s" % exc, file=sys.stderr)

@@ -7,3 +7,7 @@ class FormatError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or expansion exceeded its configured budget."""
+
+
+class SoundnessError(RuntimeError):
+    """A computed answer failed the check that guards it (a bug, not bad input)."""

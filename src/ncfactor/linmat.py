@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ncfactor import textio
-from ncfactor.errors import FormatError
+from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
 from ncfactor.matrix import Matrix, matvec, rational_roots
 from ncfactor.ncpoly import Alphabet, NcPoly
@@ -93,7 +93,7 @@ class LinearMatrix:
         a0inv = self.constant.inverse()
         if a0inv is None:
             return False
-        current = [a0inv * m for m in self.mats[1:] if not (a0inv * m).is_zero()]
+        current = [c for c in (a0inv * m for m in self.mats[1:]) if not c.is_zero()]
         gens = list(current)
         for _ in range(self.d - 1):
             if not current:
@@ -378,24 +378,15 @@ def common_eigenvector(mats, side="right"):
 # -- split/assembly helpers ---------------------------------------------
 
 def _complete_basis(vectors, d):
-    """Extend independent vectors to a basis using standard basis vectors."""
-    rows = [tuple(v) for v in vectors]
-    m = Matrix(QQ, rows) if rows else None
-    rank = m.rank() if rows else 0
-    assert rank == len(rows), "expected independent vectors"
-    for i in range(d):
-        if len(rows) == d:
-            break
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-        cand = Matrix(QQ, rows + [e])
-        if cand.rank() == len(rows) + 1:
-            rows.append(e)
-    assert len(rows) == d
-    return rows
-
-
-def _block(m, r0, r1, c0, c1):
-    return Matrix(QQ, [[m[i][j] for j in range(c0, c1)] for i in range(r0, r1)])
+    """Extend independent vectors to a basis using standard basis vectors:
+    the pivot columns of [vectors | I] pick the first e_i that are
+    independent of everything before them."""
+    k = len(vectors)
+    ident = Matrix.identity(QQ, d)
+    cols = [tuple(v) for v in vectors] + [ident.col(i) for i in range(d)]
+    pivots = Matrix.from_cols(QQ, cols).pivot_cols()
+    assert pivots[:k] == list(range(k)), "expected independent vectors"
+    return [cols[j] for j in pivots]
 
 
 def _conj_split(L, p, k):
@@ -403,38 +394,20 @@ def _conj_split(L, p, k):
     top-right block must vanish in every coefficient."""
     conj = L.conjugate(p)
     d = L.d
+    head, tail = range(k), range(k, d)
     for m in conj.mats[1:]:
-        assert _block(m, 0, k, k, d).is_zero(), "split subspace is not invariant"
-    tops = [_block(m, 0, k, 0, k) for m in conj.mats]
-    bottoms = [_block(m, k, d, k, d) for m in conj.mats]
-    ds = [_block(m, k, d, 0, k) for m in conj.mats[1:]]
+        assert m.submatrix(head, tail).is_zero(), "split subspace is not invariant"
+    tops = [m.submatrix(head, head) for m in conj.mats]
+    bottoms = [m.submatrix(tail, tail) for m in conj.mats]
+    ds = [m.submatrix(tail, head) for m in conj.mats[1:]]
     return LinearMatrix(tops), ds, LinearMatrix(bottoms)
 
 
-def _embed_top(m2, d):
-    """2x2 scalar matrix into the top-left of I_d."""
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for i in range(m2.nrows):
-        for j in range(m2.ncols):
-            out[i][j] = m2[i][j]
-    return Matrix(QQ, out)
-
-
-def _embed_bottom(m2, d):
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    off = d - m2.nrows
-    for i in range(m2.nrows):
-        for j in range(m2.ncols):
-            out[off + i][off + j] = m2[i][j]
-    return Matrix(QQ, out)
-
-
-def _place_block(m, d, row0, col0):
-    """m copied into a d x d zero matrix at (row0, col0)."""
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            rows[row0 + i][col0 + j] = m[i][j]
+def _place(m, base, row0, col0):
+    """base with the block m written over it at (row0, col0)."""
+    rows = [list(r) for r in base.rows]
+    for i, r in enumerate(m.rows):
+        rows[row0 + i][col0:col0 + len(r)] = r
     return Matrix(QQ, rows)
 
 
@@ -442,32 +415,22 @@ def _lift_factor(factor, d, where):
     """Lift a k x k linear factor to d x d: constant block inside an
     identity, coefficient blocks inside zeros."""
     off = 0 if where == "top" else d - factor.d
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for i in range(factor.d):
-        for j in range(factor.d):
-            rows[off + i][off + j] = factor.mats[0][i][j]
-    mats = [Matrix(QQ, rows)]
-    for m in factor.mats[1:]:
-        mats.append(_place_block(m, d, off, off))
-    return LinearMatrix(mats)
+    ident, zero = Matrix.identity(QQ, d), Matrix.zeros(QQ, d, d)
+    return LinearMatrix([_place(factor.mats[0], ident, off, off)]
+                        + [_place(m, zero, off, off) for m in factor.mats[1:]])
 
 
 def _unip_factor(ds, d, k):
     """[[I,0],[D,I]] with D = sum D_i x_i sitting under the top-left k block."""
-    mats = [Matrix.identity(QQ, d)]
-    for di in ds:
-        mats.append(_place_block(di, d, k, 0))
-    return LinearMatrix(mats)
+    zero = Matrix.zeros(QQ, d, d)
+    return LinearMatrix([Matrix.identity(QQ, d)] + [_place(di, zero, k, 0) for di in ds])
 
 
 def _scalar_line_factor(lams, d, pos):
     """Diagonal factor with 1 + sum lam_i x_i at position pos, 1 elsewhere."""
-    mats = [Matrix.identity(QQ, d)]
-    for lam in lams:
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        rows[pos][pos] = lam
-        mats.append(Matrix(QQ, rows))
-    return LinearMatrix(mats)
+    zero = Matrix.zeros(QQ, d, d)
+    return LinearMatrix([Matrix.identity(QQ, d)]
+                        + [_place(Matrix(QQ, [[lam]]), zero, pos, pos) for lam in lams])
 
 
 def _all_scalar(mats):
@@ -567,6 +530,7 @@ def factor_3x3(L):
     """
     if L.d != 3:
         raise ValueError("factor_3x3 expects 3x3 linear matrices")
+    original = L
     ident = Matrix.identity(QQ, 3)
     pre = ident
     if L.constant != ident:
@@ -587,7 +551,7 @@ def factor_3x3(L):
         cert = FactorizationCert(pre, ident,
                                  [_scalar_line_factor(lams, 3, pos) for pos in range(3)],
                                  [False, False, False])
-        assert verify_cert(cert, LinearMatrix([m for m in _original(L, pre)]))
+        _check_cert(cert, original)
         return cert
 
     candidates = []
@@ -596,7 +560,6 @@ def factor_3x3(L):
     for w, _lams in common_eigenlines(L.mats[1:], "left"):
         candidates.append(("left", w))
 
-    original = LinearMatrix(list(_original(L, pre)))
     best = None
     for side, w in candidates:
         if side == "right":
@@ -610,8 +573,8 @@ def factor_3x3(L):
         p2, q2, sub_factors, sub_flags = _factor_small(block)
         factors, flags = [], []
         if k == 2:
-            big_p = _embed_top(p2, 3) * p * pre
-            big_q = p.inverse() * _embed_top(q2, 3)
+            big_p = _place(p2, ident, 0, 0) * p * pre
+            big_q = p.inverse() * _place(q2, ident, 0, 0)
             for f, flag in zip(sub_factors, sub_flags):
                 factors.append(_lift_factor(f, 3, "top"))
                 flags.append(flag)
@@ -623,8 +586,8 @@ def factor_3x3(L):
                 factors.append(_lift_factor(bottom, 3, "bottom"))
                 flags.append(False)
         else:
-            big_p = _embed_bottom(p2, 3) * p * pre
-            big_q = p.inverse() * _embed_bottom(q2, 3)
+            big_p = _place(p2, ident, 1, 1) * p * pre
+            big_q = p.inverse() * _place(q2, ident, 1, 1)
             if top.degree:
                 factors.append(_lift_factor(top, 3, "top"))
                 flags.append(False)
@@ -637,7 +600,7 @@ def factor_3x3(L):
                 flags.append(flag)
         cert = FactorizationCert(big_p, big_q, factors, flags)
         count = cert.nontrivial_count()
-        assert verify_cert(cert, original), "assembled certificate must verify"
+        _check_cert(cert, original)
         if best is None or count > best.nontrivial_count():
             best = cert
         if count >= 2:
@@ -648,10 +611,10 @@ def factor_3x3(L):
     return Irreducible("exhausted-eigen-search")
 
 
-def _original(L, pre):
-    """Undo the constant-term normalization: pre * original = normalized L."""
-    inv = pre.inverse()
-    return [inv * m for m in L.mats]
+def _check_cert(cert, L):
+    """Raise SoundnessError unless cert verifies for L; runs under -O too."""
+    if not verify_cert(cert, L):
+        raise SoundnessError("assembled certificate does not verify")
 
 
 # -- quaternion gadget ---------------------------------------------------
@@ -675,15 +638,8 @@ def zdiv_to_factorization(alpha, beta, z):
     if not is_zero_divisor(z):
         raise ValueError("z must be a zero divisor")
     L = quaternion_linmat(alpha, beta)
-    basis = Quaternion.basis(alpha, beta)
-    rows = []
-    for b in basis:
-        cand = hmul(b, z).coords
-        if rows:
-            m = Matrix(QQ, rows + [cand])
-            if m.rank() == len(rows):
-                continue
-        rows.append(cand)
+    orbit = [hmul(b, z).coords for b in Quaternion.basis(alpha, beta)]
+    rows = [orbit[j] for j in Matrix.from_cols(QQ, orbit).pivot_cols()]
     r = len(rows)
     assert 1 <= r <= 3, "a zero divisor generates a proper nonzero left ideal"
     p = Matrix(QQ, _complete_basis(rows, 4))
@@ -696,7 +652,7 @@ def zdiv_to_factorization(alpha, beta, z):
     factors.append(_lift_factor(bottom, 4, "bottom"))
     flags.append(False)
     cert = FactorizationCert(p, p.inverse(), factors, flags)
-    assert verify_cert(cert, L), "gadget certificate must verify"
+    _check_cert(cert, L)
     return cert
 
 
@@ -733,16 +689,8 @@ def factorization_to_zdiv(alpha, beta, f, g):
         for b_ in (gx, gy):
             assert (a * b_).is_zero(), "degree-2 coefficients must cancel"
 
-    cols = []
-    for m in (gx, gy):
-        for j in range(4):
-            c = m.col(j)
-            if any(x != 0 for x in c):
-                if cols:
-                    probe = Matrix.from_cols(QQ, cols + [c])
-                    if probe.rank() == len(cols):
-                        continue
-                cols.append(c)
+    g_cols = gx.hstack(gy)
+    cols = [g_cols.col(j) for j in g_cols.pivot_cols()]
     assert cols, "a non-unit right factor has nonzero linear part"
     assert len(cols) < 4, "a non-unit left factor forces a proper subspace"
     w_basis = Matrix.from_cols(QQ, cols)
@@ -766,7 +714,7 @@ def factorization_to_zdiv(alpha, beta, f, g):
         pair = _left_orbit_dependency(z2)
         if pair is not None:
             return pair
-    raise AssertionError("no zero divisor found; the factorization was not nontrivial")
+    raise SoundnessError("no zero divisor found; the factorization was not nontrivial")
 
 
 def _left_orbit_dependency(z2):
@@ -779,5 +727,6 @@ def _left_orbit_dependency(z2):
     gamma = kernel[0]
     z1 = Quaternion(z2.alpha, z2.beta, gamma)
     assert not z1.is_zero() and not z2.is_zero()
-    assert hmul(z1, z2).is_zero(), "dependency coefficients must annihilate w"
+    if not hmul(z1, z2).is_zero():
+        raise SoundnessError("dependency coefficients do not annihilate w")
     return z1, z2

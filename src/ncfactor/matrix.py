@@ -1,13 +1,16 @@
 """Exact dense matrices over Q or a prime field.
 
-Everything here is exact: elimination is fraction-free (Bareiss) so
-intermediate entries stay integral when the input is integral, and the
-characteristic polynomial is computed division-free by minor expansion
-with memoization (dimensions are capped at 8, per the callers' needs).
+Everything here is exact.  One fraction-free elimination core
+(`Matrix._reduce`, Bareiss-style Gauss-Jordan on Python ints over Q)
+answers `rank`, `det`, `nullspace`, `inverse` and `pivot_cols`, the
+columns independent of those before them.  The characteristic
+polynomial is computed division-free by minor expansion with
+memoization (dimensions are capped at 8, per the callers' needs).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -126,113 +129,98 @@ class Matrix:
 
     # -- elimination-based queries ------------------------------------
 
-    def _echelon(self):
-        """Fraction-free row echelon form: (rows, pivot columns, swap sign).
+    def _reduce(self):
+        """The one elimination core: fraction-free Gauss-Jordan reduction.
 
-        Over Q, rows are first scaled to integers so Bareiss keeps every
-        intermediate entry an integer.
+        Returns (rows, pivot columns, d, sign, scale).  Bareiss (1968)
+        elimination, applied above as well as below each pivot.  Over Q
+        each row is first multiplied by the lcm of its denominators
+        (`scale` is the product of these factors), so the loop runs on
+        Python ints and every division by the previous pivot is exact
+        (`//`); over F_p the same loop divides with the field's `/`.
+
+        On return each pivot row holds d, the last pivot, in its own
+        pivot column and zero in every other pivot column; rows past the
+        rank are zero.  For a nonsingular square matrix
+        det = sign * d / scale.  d is a field element, so x / d is the
+        exact field quotient of any entry x.
         """
-        zero = self.field.zero
-        rows = [list(r) for r in self.rows]
-        if isinstance(self.field, RationalField):
-            for r in rows:
-                scale = lcm(*(x.denominator for x in r))
-                if scale != 1:
-                    for j in range(len(r)):
-                        r[j] = r[j] * scale
+        field = self.field
+        if isinstance(field, RationalField):
+            rows, scale = [], 1
+            for r in self.rows:
+                s = lcm(*(x.denominator for x in r))
+                rows.append([x.numerator * (s // x.denominator) for x in r])
+                scale *= s
+            zero, prev, div = 0, 1, operator.floordiv
+        else:
+            rows = [list(r) for r in self.rows]
+            zero, prev, scale, div = field.zero, field.one, field.one, operator.truediv
         pivots = []
         sign = 1
-        prev = self.field.one
-        row = 0
+        top = 0
         for col in range(self.ncols):
-            pivot_row = None
-            for i in range(row, len(rows)):
-                if rows[i][col] != zero:
-                    pivot_row = i
-                    break
+            if top == len(rows):
+                break
+            pivot_row = next((i for i in range(top, len(rows)) if rows[i][col] != zero), None)
             if pivot_row is None:
                 continue
-            if pivot_row != row:
-                rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+            if pivot_row != top:
+                rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
                 sign = -sign
-            pivot = rows[row][col]
-            for i in range(row + 1, len(rows)):
-                head = rows[i][col]
-                for j in range(col + 1, self.ncols):
-                    rows[i][j] = (pivot * rows[i][j] - head * rows[row][j]) / prev
-                rows[i][col] = zero
+            prow = rows[top]
+            pivot = prow[col]
+            for i, r in enumerate(rows):
+                if i != top:
+                    head = r[col]
+                    rows[i] = [div(pivot * a - head * b, prev) for a, b in zip(r, prow)]
             pivots.append(col)
             prev = pivot
-            row += 1
-            if row == len(rows):
-                break
-        return rows, pivots, sign
+            top += 1
+        return rows, pivots, field.one * prev, sign, scale
 
     def rank(self):
-        return len(self._echelon()[1])
+        return len(self._reduce()[1])
+
+    def pivot_cols(self):
+        """Indices of the columns independent of the columns before them."""
+        return self._reduce()[1]
 
     def det(self):
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        rows, pivots, sign = self._echelon()
+        _rows, pivots, d, sign, scale = self._reduce()
         if len(pivots) < self.nrows:
             return self.field.zero
-        # Bareiss: the last pivot of the fraction-free echelon form is
-        # det of the integer-scaled matrix; undo swaps and row scalings.
-        det = rows[self.nrows - 1][pivots[-1]]
-        if sign < 0:
-            det = -det
-        if isinstance(self.field, RationalField):
-            for r in self.rows:
-                det = det / lcm(*(x.denominator for x in r))
-        return det
+        return sign * d / scale
 
     def nullspace(self):
-        """Basis of the right nullspace; [] when the kernel is trivial."""
-        rows, pivots, _ = self._echelon()
+        """Basis of the right nullspace; [] when the kernel is trivial.
+
+        One vector per free column: that variable 1, the other free
+        variables 0, read from the reduced form."""
+        rows, pivots, d, _sign, _scale = self._reduce()
         zero, one = self.field.zero, self.field.one
-        free_cols = [j for j in range(self.ncols) if j not in pivots]
         basis = []
-        for fc in free_cols:
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
             v = [zero] * self.ncols
             v[fc] = one
-            # back-substitute pivot variables
-            for k in range(len(pivots) - 1, -1, -1):
-                pc = pivots[k]
-                s = zero
-                for j in range(pc + 1, self.ncols):
-                    if v[j] != zero:
-                        s = s + rows[k][j] * v[j]
-                v[pc] = -s / rows[k][pc]
+            for k, pc in enumerate(pivots):
+                v[pc] = -rows[k][fc] / d
             basis.append(tuple(v))
         return basis
 
     def inverse(self):
-        """Exact inverse, or None when singular."""
+        """Exact inverse, or None when singular: [M | I] reduced to [dI | d*M^-1]."""
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        zero = self.field.zero
-        aug = [list(r) + list(ir) for r, ir in
-               zip(self.rows, Matrix.identity(self.field, n).rows)]
-        row = 0
-        for col in range(n):
-            pivot_row = None
-            for i in range(row, n):
-                if aug[i][col] != zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return None
-            aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-            inv_p = self.field.one / aug[row][col]
-            aug[row] = [x * inv_p for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != zero:
-                    c = aug[i][col]
-                    aug[i] = [a - c * b for a, b in zip(aug[i], aug[row])]
-            row += 1
-        return Matrix(self.field, [r[n:] for r in aug])
+        rows, pivots, d, _sign, _scale = self.hstack(Matrix.identity(self.field, n))._reduce()
+        if pivots[n - 1] != n - 1:
+            return None
+        return Matrix(self.field, [[x / d for x in r[n:]] for r in rows])
 
     def charpoly(self):
         """Coefficients of det(tI - M), ascending, monic; dimension <= 8."""

@@ -120,11 +120,15 @@ def mv_matrix(beta):
 
 
 def is_zero_divisor(z):
-    """A nonzero z kills some nonzero element iff its regular
-    representation is singular."""
+    """A nonzero z kills some nonzero element iff its reduced norm
+    a0^2 - alpha*a1^2 - beta*a2^2 + alpha*beta*a3^2 vanishes (Voight,
+    Quaternion Algebras, GTM 288); det(regular_representation(z)) is
+    the square of the norm."""
     if z.is_zero():
         raise ValueError("zero is not classified as a zero divisor")
-    return regular_representation(z).det() == 0
+    al, be = z.alpha, z.beta
+    a0, a1, a2, a3 = z.coords
+    return a0 * a0 - al * a1 * a1 - be * a2 * a2 + al * be * a3 * a3 == 0
 
 
 def search_zero_divisor(alpha, beta, bound):

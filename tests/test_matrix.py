@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncfactor.fields import GF3, QQ
-from ncfactor.matrix import Matrix, rational_roots, upoly_eval
+from ncfactor.fields import GF2, GF3, QQ
+from ncfactor.matrix import Matrix, matvec, rational_roots, upoly_eval
 
 
 def rand_matrix(rng, n, lo=-4, hi=4):
@@ -123,21 +123,119 @@ def test_inverse_and_det():
             assert m * inv == Matrix.identity(QQ, n)
 
 
-def test_det_matches_cofactor_expansion():
-    def cofactor_det(m):
-        n = m.nrows
-        if n == 1:
-            return m[0][0]
-        total = Fraction(0)
-        cols = list(range(1, n))
-        for j in range(n):
-            sub = m.submatrix(range(1, n), [c for c in range(n) if c != j])
-            term = m[0][j] * cofactor_det(sub)
-            total += term if j % 2 == 0 else -term
-        return total
+def cofactor_det(m):
+    n = m.nrows
+    if n == 1:
+        return m[0][0]
+    total = m.field.zero
+    for j in range(n):
+        sub = m.submatrix(range(1, n), [c for c in range(n) if c != j])
+        term = m[0][j] * cofactor_det(sub)
+        total += term if j % 2 == 0 else -term
+    return total
 
+
+def ref_rank(rows):
+    """Textbook Gaussian elimination with field division, independent of
+    the fraction-free core."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def greedy_independent_cols(m):
+    """Keep each column that raises the rank of the columns kept so far."""
+    kept = []
+    for j in range(m.ncols):
+        if ref_rank(m.submatrix(range(m.nrows), kept + [j]).rows) > len(kept):
+            kept.append(j)
+    return kept
+
+
+def test_det_matches_cofactor_expansion():
     rng = random.Random(99)
     for _ in range(20):
         n = rng.randint(1, 4)
         m = rand_matrix(rng, n)
         assert m.det() == cofactor_det(m)
+
+
+def _rand_low_rank(rng, field, nrows, ncols, entry):
+    """Product of nrows x k and k x ncols random factors, so dependent
+    columns and singular square matrices are common over Q too."""
+    k = rng.randint(1, min(nrows, ncols))
+    a = Matrix(field, [[entry() for _ in range(k)] for _ in range(nrows)])
+    b = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(k)])
+    return a * b
+
+
+ENTRIES = {
+    "Q-int": (QQ, lambda rng: Fraction(rng.randint(-3, 3))),
+    "Q-frac": (QQ, lambda rng: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))),
+    "GF2": (GF2, lambda rng: GF2.from_int(rng.randrange(2))),
+    "GF3": (GF3, lambda rng: GF3.from_int(rng.randrange(3))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_core_against_references(kind):
+    field, draw = ENTRIES[kind]
+    rng = random.Random(kind)
+    entry = lambda: draw(rng)
+    seen_singular = seen_invertible = 0
+    for trial in range(80):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        if trial % 2:
+            ncols = nrows
+        if trial % 3:
+            m = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+        else:
+            m = _rand_low_rank(rng, field, nrows, ncols, entry)
+        assert m.rank() == ref_rank(m.rows)
+        assert m.pivot_cols() == greedy_independent_cols(m)
+        kernel = m.nullspace()
+        assert len(kernel) == ncols - m.rank()
+        for v in kernel:
+            assert all(x == 0 for x in matvec(m, v))
+        if not m.is_square:
+            continue
+        assert m.det() == cofactor_det(m)
+        inv = m.inverse()
+        if m.det() == 0:
+            assert inv is None
+            seen_singular += 1
+        else:
+            ident = Matrix.identity(field, nrows)
+            assert m * inv == ident and inv * m == ident
+            seen_invertible += 1
+    assert seen_singular and seen_invertible
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_core_on_zero_matrices(field):
+    for nrows, ncols in ((1, 1), (2, 3), (3, 2), (3, 3)):
+        z = Matrix.zeros(field, nrows, ncols)
+        assert z.rank() == 0
+        assert z.pivot_cols() == []
+        assert z.nullspace() == [Matrix.identity(field, ncols).col(j) for j in range(ncols)]
+        if z.is_square:
+            assert z.det() == field.zero
+            assert z.inverse() is None
+
+
+def test_core_on_fractional_rows():
+    m = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
+    assert m.det() == Fraction(1, 60)
+    assert m.inverse() == Matrix.from_ints(QQ, [[12, -20], [-15, 30]])
+    thirds = Matrix(QQ, [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(1)]])
+    assert thirds.rank() == 1 and thirds.pivot_cols() == [0]
+    assert thirds.nullspace() == [(Fraction(-2), Fraction(1))]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_is_zero_divisor():
     assert not is_zero_divisor(one)
     with pytest.raises(ValueError):
         is_zero_divisor(Quaternion(1, 1, (0, 0, 0, 0)))
+
+
+def test_reduced_norm_matches_regular_representation():
+    pairs = ((1, 1), (4, 3), (9, 5), (-1, -1), (-1, -3), (Fraction(5, 2), -1))
+    split = set()
+    for alpha, beta in pairs:
+        for coords in product(range(-2, 3), repeat=4):
+            if coords == (0, 0, 0, 0):
+                continue
+            z = Quaternion(alpha, beta, coords)
+            singular = regular_representation(z).det() == 0
+            assert is_zero_divisor(z) == singular, (alpha, beta, coords)
+            if singular:
+                split.add((alpha, beta))
+    # H(9, 5) splits too, but its smallest zero divisors (3 - u, ...) lie
+    # outside this box.
+    assert split == {(1, 1), (4, 3), (Fraction(5, 2), -1)}
 
 
 def test_hamilton_like_algebras_have_no_zero_divisors():

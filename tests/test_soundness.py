@@ -1,0 +1,54 @@
+"""Answer-guarding checks raise SoundnessError, also under `python -O`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ncfactor import cli, linmat
+from ncfactor.errors import SoundnessError
+from ncfactor.fields import QQ
+from ncfactor.linmat import LinearMatrix, factor_3x3
+from ncfactor.matrix import Matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# I + A x with A block-lower-triangular: the certificate for it carries a
+# unipotent factor [[I,0],[D,I]] with D != 0.
+SPLIT = LinearMatrix([Matrix.identity(QQ, 3),
+                      Matrix.from_ints(QQ, [[1, 0, 0], [0, 2, 0], [1, 1, 3]])])
+
+
+def _unip_without_coefficients(ds, d, k):
+    return LinearMatrix([Matrix.identity(QQ, d)] + [Matrix.zeros(QQ, d, d) for _ in ds])
+
+
+def test_corrupted_certificate_raises_soundness_error(monkeypatch):
+    factor_3x3(SPLIT)
+    monkeypatch.setattr(linmat, "_unip_factor", _unip_without_coefficients)
+    with pytest.raises(SoundnessError):
+        factor_3x3(SPLIT)
+
+
+def test_cli_reports_soundness_error_with_exit_2(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "split.lm"
+    path.write_text(SPLIT.to_text())
+    monkeypatch.setattr(linmat, "_unip_factor", _unip_without_coefficients)
+    assert cli.main(["factor-linmat3", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: soundness:")
+
+
+def test_answer_checks_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py::test_criterion_8_factor_3x3",
+         "tests/test_acceptance.py::test_criterion_9_quaternion_gadget",
+         "tests/test_soundness.py::test_corrupted_certificate_raises_soundness_error",
+         "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
