@@ -11,6 +11,7 @@ malformed input files exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -205,6 +206,7 @@ def _add_io(p, output_only=False):
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ncfactor",

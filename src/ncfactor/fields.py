@@ -118,14 +118,8 @@ class RationalField:
     """The field Q; elements are `fractions.Fraction` (always canonical)."""
 
     name = "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value, denom=None):
         if denom is not None:

@@ -7,8 +7,9 @@ the 4x4 quaternion gadget, and both directions of the zero-divisor /
 factorization translation.
 
 A certificate (P, Q, factors) asserts P*L*Q = product of the factors as
-matrices over the free algebra; verification multiplies everything out
-symbolically, so degree-2 terms must cancel identically.
+matrices over the free algebra; verification compares the coefficient
+matrix of every word on both sides, so degree-2 terms must cancel
+identically.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
 from ncfactor.matrix import Matrix, matvec, rational_roots
-from ncfactor.ncpoly import Alphabet, NcPoly
 from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, mu_matrix,
                                  mv_matrix)
 
@@ -73,39 +73,26 @@ class LinearMatrix:
     def __repr__(self):
         return "LinearMatrix(d=%d, n=%d)" % (self.d, self.n)
 
-    def nc_matrix(self):
-        """Entries as degree<=1 free-algebra polynomials over x_1..x_n."""
-        alphabet = Alphabet.nvars(self.n) if self.n else Alphabet.nvars(1)
-        out = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                terms = [((), self.mats[0][i][j])]
-                for k in range(1, self.n + 1):
-                    terms.append(((k - 1,), self.mats[k][i][j]))
-                row.append(NcPoly(alphabet, QQ, terms))
-            out.append(tuple(row))
-        return tuple(out)
-
     def is_unit(self):
         """Invertible over the polynomial ring: invertible constant term and
-        nilpotent normalized coefficients (all length-d products vanish)."""
+        nilpotent normalized coefficients N_i = A0^-1 A_i (all length-d
+        products vanish).  Tested on the joint images V_0 = Q^d,
+        V_{k+1} = span of all N_i V_k: they are nested, so each step
+        either shrinks the image or has reached a nonzero fixed space."""
         a0inv = self.constant.inverse()
         if a0inv is None:
             return False
-        current = [c for c in (a0inv * m for m in self.mats[1:]) if not c.is_zero()]
-        gens = list(current)
-        for _ in range(self.d - 1):
-            if not current:
+        gens = [a0inv * m for m in self.mats[1:]]
+        image = Matrix.identity(QQ, self.d)
+        while gens:
+            vecs = [v for g in gens for v in zip(*(g * image).rows)]
+            vecs = [vecs[j] for j in Matrix.from_cols(QQ, vecs).pivot_cols()]
+            if not vecs:
                 return True
-            nxt = []
-            for m in current:
-                for g in gens:
-                    prod = m * g
-                    if not prod.is_zero():
-                        nxt.append(prod)
-            current = nxt
-        return not current
+            if len(vecs) == image.ncols:
+                return False
+            image = Matrix.from_cols(QQ, vecs)
+        return True
 
     # -- serialization -------------------------------------------------
 
@@ -204,49 +191,34 @@ class Irreducible:
         return "Irreducible(%s)" % self.reason
 
 
-# -- symbolic matrix products over the free algebra --------------------
+# -- certificate verification ------------------------------------------
 
-def nc_matmul(a, b):
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = None
-            for k in range(size):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _nc_const(m, alphabet):
-    return tuple(tuple(NcPoly.constant(alphabet, QQ, m[i][j])
-                       for j in range(m.ncols)) for i in range(m.nrows))
+def _times(coeffs, lin):
+    """Coefficient matrices {word: C} of (sum_w C_w w) * lin: each word is
+    extended by lin's A0 (no letter) or A_i (letter x_i); zeros dropped."""
+    out = {}
+    for word, c in coeffs.items():
+        for k, a in enumerate(lin.mats):
+            key = word + (k - 1,) if k else word
+            prod = c * a
+            out[key] = out[key] + prod if key in out else prod
+    return {w: m for w, m in out.items() if not m.is_zero()}
 
 
 def verify_cert(cert, L):
-    """Exact check: P, Q invertible and P*L*Q = product of factors as
-    free-algebra matrices (quadratic terms must cancel identically)."""
+    """Exact check: P, Q invertible and P*L*Q = product of the factors,
+    compared word by word as coefficient matrices (so quadratic terms
+    must cancel identically)."""
     if cert.p.nrows != L.d or cert.q.nrows != L.d:
         raise ValueError("certificate dimension mismatch")
     if cert.p.inverse() is None or cert.q.inverse() is None:
         return False
-    n = max([L.n] + [f.n for f in cert.factors])
-    alphabet = Alphabet.nvars(n) if n else Alphabet.nvars(1)
-
-    def lift(lin):
-        padded = list(lin.mats) + [Matrix.zeros(QQ, lin.d, lin.d)] * (n - lin.n)
-        return LinearMatrix(padded).nc_matrix()
-
-    lhs = nc_matmul(_nc_const(cert.p, alphabet),
-                    nc_matmul(lift(L), _nc_const(cert.q, alphabet)))
-    rhs = _nc_const(Matrix.identity(QQ, L.d), alphabet)
+    lhs = _times({(): cert.p}, L.rmul(cert.q))
+    rhs = {(): Matrix.identity(QQ, L.d)}
     for factor in cert.factors:
         if factor.d != L.d:
             raise ValueError("factor dimension mismatch")
-        rhs = nc_matmul(rhs, lift(factor))
+        rhs = _times(rhs, factor)
     return lhs == rhs
 
 

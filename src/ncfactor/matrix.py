@@ -1,6 +1,8 @@
 """Exact dense matrices over Q or a prime field.
 
-Everything here is exact.  One fraction-free elimination core
+Everything here is exact.  The product skips zero entries, so its cost
+follows the nonzeros: the block matrices of black-box recovery are
+mostly zero.  One fraction-free elimination core
 (`Matrix._reduce`, Bareiss-style Gauss-Jordan on Python ints over Q)
 answers `rank`, `det`, `nullspace`, `inverse` and `pivot_cols`, the
 columns independent of those before them.  The characteristic
@@ -97,9 +99,20 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.rows))
-        return Matrix(self.field,
-                      [[_dot(r, c) for c in cols] for r in self.rows])
+        # Row k of `other` as its nonzero (j, b_kj); each nonzero a_ik adds
+        # a_ik * b_kj into output row i.
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        zero = self.field.zero
+        out = []
+        for r in self.rows:
+            acc = [None] * other.ncols
+            for a, brow in zip(r, sparse):
+                if a:
+                    for j, b in brow:
+                        s = acc[j]
+                        acc[j] = a * b if s is None else s + a * b
+            out.append([zero if s is None else s for s in acc])
+        return Matrix(self.field, out)
 
     def scale(self, c):
         return Matrix(self.field, [[c * x for x in r] for r in self.rows])

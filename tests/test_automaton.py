@@ -244,9 +244,10 @@ def test_recover_blackbox_examples():
 
 def test_recover_blackbox_round_trip():
     rng = random.Random(64)
-    for _ in range(5):
-        n = rng.randint(1, 2)
-        e = Embedding.for_variables(n, "compact")
+    for trial in range(7):
+        # five compact-mode cases, then paper mode at n = 2 and n = 3
+        n, mode = (rng.randint(1, 2), "compact") if trial < 5 else (trial - 3, "paper")
+        e = Embedding.for_variables(n, mode)
         a = build_automaton(e.wordset)
         f = rand_poly(rng, n, QQ, max_deg=2)
         c = circuit_from_poly(f)

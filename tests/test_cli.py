@@ -239,3 +239,27 @@ def test_malformed_literal_exits_1(capsys, args):
 def test_zero_alpha_is_a_domain_error(capsys):
     assert cli.main(["quaternion-build", "--alpha", "0", "--beta", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: domain:")
+
+
+def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process; a flag given to one call must
+    not become the default of the next."""
+    ab2 = Alphabet.nvars(2)
+    x1 = NcPoly.variable(ab2, GF2, 0)
+    x2 = NcPoly.variable(ab2, GF2, 1)
+    path = tmp_path / "g.poly"
+    path.write_text((x1 * x2 + x1).to_text())
+    budgets = []
+    real = cli.complete_factorizations
+
+    def spy(poly, budget):
+        budgets.append(budget)
+        return real(poly, budget)
+
+    monkeypatch.setattr(cli, "complete_factorizations", spy)
+    assert cli.main(["reduce", "--budget", "5", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: budget:")
+    assert cli.main(["reduce", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "factors 2"
+    assert budgets[0] == 5 and set(budgets[1:]) == {cli.DEFAULT_BUDGET}
+    assert cli.build_parser() is cli.build_parser()

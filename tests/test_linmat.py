@@ -10,6 +10,7 @@ from ncfactor.linmat import (FactorizationCert, Irreducible, LinearMatrix,
                              quaternion_linmat, verify_cert,
                              zdiv_to_factorization)
 from ncfactor.matrix import Matrix, matvec
+from ncfactor.ncpoly import Alphabet, NcPoly
 from ncfactor.quaternion import Quaternion, hmul, is_zero_divisor
 
 I2 = Matrix.identity(QQ, 2)
@@ -360,3 +361,162 @@ def test_linmat_text_round_trip():
     back = FactorizationCert.from_text(ct)
     assert back.to_text() == ct
     assert verify_cert(back, lin)
+
+
+# -- references for the certificate and unit checks ---------------------
+
+def _nc_matrix(lin, alphabet):
+    """Entries of a linear matrix as degree<=1 free-algebra polynomials."""
+    return tuple(tuple(NcPoly(alphabet, QQ, [((), lin.mats[0][i][j])]
+                              + [((k - 1,), lin.mats[k][i][j]) for k in range(1, lin.n + 1)])
+                       for j in range(lin.d)) for i in range(lin.d))
+
+
+def _nc_matmul(a, b):
+    size = len(a)
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, size):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_verify_cert(cert, L):
+    """The symbolic check: P*L*Q and the product of the factors multiplied
+    out as d x d matrices of free-algebra polynomials."""
+    if cert.p.inverse() is None or cert.q.inverse() is None:
+        return False
+    n = max([L.n] + [f.n for f in cert.factors])
+    alphabet = Alphabet.nvars(max(n, 1))
+    const = lambda m: _nc_matrix(LinearMatrix([m]), alphabet)
+    lhs = _nc_matmul(const(cert.p), _nc_matmul(_nc_matrix(L, alphabet), const(cert.q)))
+    rhs = const(Matrix.identity(QQ, L.d))
+    for factor in cert.factors:
+        rhs = _nc_matmul(rhs, _nc_matrix(factor, alphabet))
+    return lhs == rhs
+
+
+def _perturb(m, rng):
+    rows = [list(r) for r in m.rows]
+    i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+    rows[i][j] += rng.choice((-1, 1, Fraction(1, 2)))
+    return Matrix(QQ, rows)
+
+
+def _corruptions(cert, rng):
+    """One entry of P, Q or a factor perturbed; two factors swapped; a
+    factor given a coefficient for one extra variable."""
+    factors = list(cert.factors)
+    flags = cert.unit_flags
+    d = cert.p.nrows
+    out = [FactorizationCert(_perturb(cert.p, rng), cert.q, factors, flags),
+           FactorizationCert(cert.p, _perturb(cert.q, rng), factors, flags)]
+    k = rng.randrange(len(factors))
+    mats = list(factors[k].mats)
+    b = rng.randrange(len(mats))
+    mats[b] = _perturb(mats[b], rng)
+    out.append(FactorizationCert(cert.p, cert.q, factors[:k] + [LinearMatrix(mats)]
+                                 + factors[k + 1:], flags))
+    if len(factors) >= 2:
+        i = rng.randrange(len(factors) - 1)
+        swapped = factors[:i] + [factors[i + 1], factors[i]] + factors[i + 2:]
+        out.append(FactorizationCert(cert.p, cert.q, swapped, flags))
+    n = max(f.n for f in factors)
+    pad = [Matrix.zeros(QQ, d, d)] * (n - factors[k].n)
+    extra = LinearMatrix(list(factors[k].mats) + pad + [_perturb(Matrix.zeros(QQ, d, d), rng)])
+    out.append(FactorizationCert(cert.p, cert.q, factors[:k] + [extra] + factors[k + 1:], flags))
+    return out
+
+
+def _reducible_3x3(rng):
+    while True:
+        p = rand_invertible(rng, 3)
+        split = rng.choice([1, 2])
+        seeds = []
+        for _ in range(rng.randint(1, 3)):
+            rows = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+            for r in range(split):
+                for c in range(split, 3):
+                    rows[r][c] = Fraction(0)
+            seeds.append(Matrix(QQ, rows))
+        if _block_lin(seeds, 0, split).is_unit() or _block_lin(seeds, split, 3).is_unit():
+            continue
+        pinv = p.inverse()
+        return LinearMatrix([rand_invertible(rng, 3)] + [pinv * s * p for s in seeds])
+
+
+def test_verify_cert_matches_symbolic_reference():
+    rng = random.Random(5150)
+    cases = []
+    while len(cases) < 8:
+        lin = _reducible_3x3(rng)
+        res = factor_3x3(lin)
+        if isinstance(res, FactorizationCert):
+            cases.append((res, lin))
+    for alpha, beta, coords in [(1, 1, (1, -1, 0, 0)), (1, 2, (1, -1, 0, 0)),
+                                (4, 3, (0, 0, 2, 1)), (9, 5, (3, -1, 0, 0))]:
+        cert = zdiv_to_factorization(alpha, beta, Quaternion(alpha, beta, coords))
+        cases.append((cert, quaternion_linmat(alpha, beta)))
+    rejected = 0
+    for cert, lin in cases:
+        assert verify_cert(cert, lin) and ref_verify_cert(cert, lin)
+        for bad in _corruptions(cert, rng):
+            got = verify_cert(bad, lin)
+            assert got == ref_verify_cert(bad, lin)
+            rejected += not got
+    assert rejected >= 4 * len(cases)
+
+
+def test_verify_cert_dimension_errors():
+    lin = quaternion_linmat(1, 1)
+    cert = zdiv_to_factorization(1, 1, Quaternion(1, 1, (1, -1, 0, 0)))
+    with pytest.raises(ValueError):
+        verify_cert(FactorizationCert(I3, I3, cert.factors, cert.unit_flags), lin)
+    small = LinearMatrix([I3, Matrix.zeros(QQ, 3, 3)])
+    with pytest.raises(ValueError):
+        verify_cert(FactorizationCert(I4, I4, [small], [False]), lin)
+    singular = Matrix.zeros(QQ, 4, 4)
+    assert not verify_cert(FactorizationCert(singular, I4, cert.factors, cert.unit_flags), lin)
+
+
+def ref_is_unit(lin):
+    """Invertible constant and every product of d normalized coefficients zero."""
+    a0inv = lin.constant.inverse()
+    if a0inv is None:
+        return False
+    gens = [a0inv * m for m in lin.mats[1:]]
+    words = list(gens)
+    for _ in range(lin.d - 1):
+        words = [w * g for w in words for g in gens]
+    return all(w.is_zero() for w in words)
+
+
+def test_is_unit_matches_product_enumeration():
+    rng = random.Random(4711)
+    small = lambda: Fraction(rng.choice((0, 0, 0, 1, -1, 2)))
+    outcomes = set()
+    for d in range(1, 5):
+        for n in range(4):
+            for trial in range(12):
+                a0 = rand_invertible(rng, d) if trial % 4 else Matrix(
+                    QQ, [[small() for _ in range(d)] for _ in range(d)])
+                if trial % 2:
+                    # a0 * P^-1 N_i P with N_i strictly upper triangular: a unit
+                    p = rand_invertible(rng, d)
+                    pinv = p.inverse()
+                    coeffs = [a0 * pinv * Matrix(QQ, [[small() if j > i else Fraction(0)
+                                                       for j in range(d)] for i in range(d)]) * p
+                              for _ in range(n)]
+                else:
+                    coeffs = [Matrix(QQ, [[small() for _ in range(d)] for _ in range(d)])
+                              for _ in range(n)]
+                lin = LinearMatrix([a0] + coeffs)
+                got = lin.is_unit()
+                assert got == ref_is_unit(lin), (d, n, trial)
+                outcomes.add((d, got))
+    assert outcomes == {(d, flag) for d in range(1, 5) for flag in (False, True)}

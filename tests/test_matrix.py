@@ -239,3 +239,56 @@ def test_core_on_fractional_rows():
     thirds = Matrix(QQ, [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(1)]])
     assert thirds.rank() == 1 and thirds.pivot_cols() == [0]
     assert thirds.nullspace() == [(Fraction(-2), Fraction(1))]
+
+
+def ref_product(a, b):
+    """Schoolbook triple loop over every index, zero entries included."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            s = a.field.zero
+            for k in range(a.ncols):
+                s = s + a[i][k] * b[k][j]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _assert_product(a, b):
+    prod = a * b
+    ref = ref_product(a, b)
+    assert prod.rows == ref
+    assert [type(x) for r in prod.rows for x in r] == [type(x) for r in ref for x in r]
+    return prod
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_product_against_triple_loop(kind):
+    field, draw = ENTRIES[kind]
+    rng = random.Random("product-" + kind)
+
+    def rand(nrows, ncols, density):
+        return Matrix(field, [[draw(rng) if rng.random() < density else field.zero
+                               for _ in range(ncols)] for _ in range(nrows)])
+
+    for trial in range(60):
+        density = 0.05 if trial % 2 else 1.0
+        hi = 12 if density < 1 else 5
+        n, k = rng.randint(1, hi), rng.randint(1, hi)
+        m = n if trial % 3 == 0 else rng.randint(1, hi)
+        _assert_product(rand(n, k, density), rand(k, m, density))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_product_with_zero_and_identity_factors(field):
+    rng = random.Random(7)
+    for nrows, ncols in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        a = Matrix(field, [[field.from_int(rng.randint(-3, 3)) for _ in range(ncols)]
+                           for _ in range(nrows)])
+        assert _assert_product(a, Matrix.identity(field, ncols)) == a
+        assert _assert_product(Matrix.identity(field, nrows), a) == a
+        assert _assert_product(a, Matrix.zeros(field, ncols, 2)) == Matrix.zeros(field, nrows, 2)
+        assert _assert_product(Matrix.zeros(field, 3, nrows), a) == Matrix.zeros(field, 3, ncols)
+    with pytest.raises(ValueError):
+        Matrix.identity(field, 2) * Matrix.identity(field, 3)
