@@ -9,6 +9,8 @@ factor starts with y, which nothing matches).  The per-letter transition
 matrices turn that scan into a matrix substitution: entry (q0, qf) of
 g'(M_x, M_y) is the nonconstant part of the preimage g, and entry
 (q0, q0) holds the constant term (q0 has no incoming transitions).
+M_x and M_y are not stored: each row has at most one nonzero entry, and
+the recovery routines read those entries straight from `delta`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class SubstAutomaton:
     @property
     def n_vars(self):
         return self.wordset.n
-
-    def step(self, state, letter):
-        return self.delta[(state, letter)]
 
     def run(self, word):
         """Scan a word from q0: (end state, scalar, emitted variable word).
@@ -117,25 +116,11 @@ def build_automaton(wordset):
     return SubstAutomaton(wordset, next_state - 1, delta)
 
 
-class TransitionMatrices:
-    """Per-letter matrices with entries in {0, 1} u X (0 = no transition
-    or zero output); at most one nonzero entry per row per letter."""
-
-    __slots__ = ("mx", "my", "n_states")
-
-    def __init__(self, automaton):
-        n = automaton.n_states
-        self.n_states = n
-        self.mx = [[OUT_ZERO] * n for _ in range(n)]
-        self.my = [[OUT_ZERO] * n for _ in range(n)]
-        for (state, letter), (nxt, out) in automaton.delta.items():
-            if out == OUT_ZERO:
-                continue
-            target = self.mx if letter == X else self.my
-            target[state][nxt] = out
-
-    def for_letter(self, letter):
-        return self.mx if letter == X else self.my
+def _moves(automaton, letter):
+    """Nonzero entries (q, q', out) of M_letter in `delta` order, which is
+    row-major: at most one per row, 0 entries left out."""
+    return [(q, nxt, out) for (q, a), (nxt, out) in automaton.delta.items()
+            if a == letter and out != OUT_ZERO]
 
 
 def recover_circuit(c, automaton):
@@ -147,19 +132,12 @@ def recover_circuit(c, automaton):
     materialized, and the result is pruned to gates reachable from the
     output.
     """
-    tm = TransitionMatrices(automaton)
     nq = automaton.n_states
     field = c.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     b = CircuitBuilder(out_alphabet, field)
     one_gate = b.const(field.one)
-
-    def entry_gate(e):
-        if e == OUT_ZERO:
-            return None
-        if e == OUT_ONE:
-            return one_gate
-        return b.var(e[1])
+    moves = (_moves(automaton, X), _moves(automaton, Y))
 
     def mul_gates(g1, g2):
         if g1 == one_gate:
@@ -172,13 +150,8 @@ def recover_circuit(c, automaton):
     for g in c.gates:
         kind = g[0]
         if kind == "var":
-            m = tm.for_letter(g[1])
-            grid = {}
-            for i in range(nq):
-                for j in range(nq):
-                    gate = entry_gate(m[i][j])
-                    if gate is not None:
-                        grid[(i, j)] = gate
+            grid = {(i, j): one_gate if out == OUT_ONE else b.var(out[1])
+                    for i, j, out in moves[g[1]]}
         elif kind == "const":
             grid = {}
             if g[1] != field.zero:
@@ -215,35 +188,21 @@ def recover_circuit(c, automaton):
     return b.build(out).pruned()
 
 
-def _blown_label(label, q1, q2, tm, out_alphabet):
-    """Entry (q1, q2) of c0*I + cx*M_x + cy*M_y as an affine label over X."""
-    field = label.field
-    terms = []
-    c0 = label.coeff(())
-    if q1 == q2 and c0 != field.zero:
-        terms.append(((), c0))
-    for letter in (X, Y):
-        coeff = label.coeff((letter,))
-        if coeff == field.zero:
-            continue
-        e = tm.for_letter(letter)[q1][q2]
-        if e == OUT_ZERO:
-            continue
-        if e == OUT_ONE:
-            terms.append(((), coeff))
-        else:
-            terms.append(((e[1],), coeff))
-    return NcPoly(out_alphabet, field, terms)
-
-
 def recover_abp(p, automaton):
     """Block construction: node u becomes (u, q) for every state q; one
-    extra layer collects (sink, qf) and (sink, q0) with unit edges."""
-    tm = TransitionMatrices(automaton)
+    extra layer collects (sink, qf) and (sink, q0) with unit edges.  The
+    edge from (u, q1) to (v, q2) carries entry (q1, q2) of
+    c0*I + cx*M_x + cy*M_y, so q2 ranges over q1, delta(q1, x), delta(q1, y).
+    """
     nq = automaton.n_states
     field = p.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     q0, qf = automaton.q0, automaton.qf
+    rows = {}
+    for letter in (X, Y):
+        for q1, q2, out in _moves(automaton, letter):
+            word = () if out == OUT_ONE else (out[1],)
+            rows.setdefault(q1, []).append((q2, letter, word))
 
     sizes = [1]
     sizes.extend(s * nq for s in p.layer_sizes[1:])
@@ -253,11 +212,15 @@ def recover_abp(p, automaton):
     for k, block in enumerate(p.edges):
         first = (k == 0)
         for (u, v), label in block.items():
-            qs = (q0,) if first else range(nq)
-            for q1 in qs:
+            const = ((), label.coeff(()))
+            coeffs = (label.coeff((X,)), label.coeff((Y,)))
+            for q1 in ((q0,) if first else range(nq)):
                 src = 0 if first else u * nq + q1
-                for q2 in range(nq):
-                    lbl = _blown_label(label, q1, q2, tm, out_alphabet)
+                entries = {q1: [const]}
+                for q2, letter, word in rows.get(q1, ()):
+                    entries.setdefault(q2, []).append((word, coeffs[letter]))
+                for q2 in sorted(entries):
+                    lbl = NcPoly(out_alphabet, field, entries[q2])
                     if lbl.is_zero():
                         continue
                     key = (src, v * nq + q2)
@@ -273,32 +236,26 @@ def recover_blackbox(bb, automaton, field):
     """Given a black-box for an embedded polynomial, return one for its
     preimage: blow each input T_i up to (|Q|*N) x (|Q|*N) block matrices
     patterned on M_x / M_y and read off blocks (q0,qf) + (q0,q0)."""
-    tm = TransitionMatrices(automaton)
     nq = automaton.n_states
     q0, qf = automaton.q0, automaton.qf
     bivariate = Alphabet.bivariate()
+    moves = (_moves(automaton, X), _moves(automaton, Y))
 
-    def big_matrix(m, assignment):
+    def big_matrix(letter, assignment):
         n = assignment.dim
-        zero = field.zero
-        rows = [[zero] * (nq * n) for _ in range(nq * n)]
-        for i in range(nq):
-            for j in range(nq):
-                e = m[i][j]
-                if e == OUT_ZERO:
-                    continue
-                block = (Matrix.identity(field, n) if e == OUT_ONE
-                         else assignment.mats[e[1]])
-                for r in range(n):
-                    for c in range(n):
-                        rows[i * n + r][j * n + c] = block[r][c]
+        rows = [[field.zero] * (nq * n) for _ in range(nq * n)]
+        ident = Matrix.identity(field, n)
+        for i, j, out in moves[letter]:
+            block = ident if out == OUT_ONE else assignment.mats[out[1]]
+            for r in range(n):
+                rows[i * n + r][j * n:(j + 1) * n] = block[r]
         return Matrix(field, rows)
 
     def recovered(assignment):
         n = assignment.dim
         big = MatrixAssignment(bivariate, field,
-                               (big_matrix(tm.mx, assignment),
-                                big_matrix(tm.my, assignment)))
+                               (big_matrix(X, assignment),
+                                big_matrix(Y, assignment)))
         value = bb(big)
         out = [[field.zero] * n for _ in range(n)]
         for r in range(n):

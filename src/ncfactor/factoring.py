@@ -8,14 +8,15 @@ over words in descending length, and g itself comes back by right
 division.  Enumerating the |F_p|^k prefix assignments is therefore a
 complete search, at a tiny fraction of the cost of enumerating all of g.
 
-Soundness is re-checked by exact multiplication on every factor found.
+Soundness is re-checked by exact multiplication on every factor found;
+a failed check raises SoundnessError, also under `python -O`.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from ncfactor.errors import BudgetExceededError
+from ncfactor.errors import BudgetExceededError, SoundnessError
 from ncfactor.fields import PrimeField
 from ncfactor.ncpoly import NcPoly, left_divide, right_divide
 
@@ -111,8 +112,10 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
         if key in seen:
             continue
         seen.add(key)
-        assert g.degree == k and g.leading_coeff() == field.one
-        assert g * h == f, "oracle soundness: factor must multiply back"
+        if g.degree != k or g.leading_coeff() != field.one:
+            raise SoundnessError("left factor is not monic of degree %d" % k)
+        if g * h != f:
+            raise SoundnessError("left factor times cofactor does not give f")
         found.append(g)
     found.sort(key=_poly_key)
     return found
@@ -186,7 +189,8 @@ def complete_factorizations(f, budget=DEFAULT_BUDGET):
         acc = NcPoly.constant(f.alphabet, field, lc)
         for factor in tail:
             acc = acc * factor
-        assert acc == f, "oracle soundness: factorization must multiply back"
+        if acc != f:
+            raise SoundnessError("factorization does not multiply back to f")
         factorizations.append((lc, tail))
     factorizations.sort(key=lambda fac: tuple(_poly_key(t) for t in fac[1]))
     return FactorizationTree(f, factorizations)

@@ -156,14 +156,9 @@ class PrimeField:
             raise ValueError("prime field modulus must be a prime below 2^31, got %r" % p)
         self.p = p
         self.name = "F%d" % p
-
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
+        # shared: a PrimeFieldElement is never mutated after construction
+        self.zero = PrimeFieldElement(0, p)
+        self.one = PrimeFieldElement(1, p)
 
     def __call__(self, value):
         return PrimeFieldElement(value, self.p)

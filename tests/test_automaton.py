@@ -1,15 +1,16 @@
 import random
 from itertools import product
 
-from ncfactor.automaton import (OUT_ONE, OUT_ZERO, build_automaton, recover_abp,
-                                recover_blackbox, recover_circuit,
-                                reduce_and_recover, TransitionMatrices)
+import pytest
+
+from ncfactor.automaton import (OUT_ONE, OUT_ZERO, _moves, build_automaton, recover_abp,
+                                recover_blackbox, recover_circuit, reduce_and_recover)
 from ncfactor.circuits import Abp, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
 from ncfactor.fields import GF2, QQ
 from ncfactor.matrix import Matrix
-from ncfactor.ncpoly import Alphabet, NcPoly
+from ncfactor.ncpoly import Alphabet, NcPoly, X, Y
 from ncfactor.words import WordSet, enumerate_words
 
 AB = Alphabet.bivariate()
@@ -74,18 +75,21 @@ def test_build_automaton_paper_depth():
 
 
 def test_transition_matrix_entries():
+    """The nonzero entries of M_x and M_y, read from `delta` row by row."""
     a = build_automaton(WordSet([w("xy")], "compact"))
-    tm = TransitionMatrices(a)
-    q0, q1, qf, qr = a.q0, a.root, a.qf, a.qr
-    assert tm.mx[q0][q1] == OUT_ONE
-    assert tm.mx[qf][q1] == OUT_ONE
-    assert tm.my[q1][qf] == ("var", 0)
-    # determinism: at most one nonzero per row per letter
-    for m in (tm.mx, tm.my):
-        for row in m:
-            assert sum(1 for e in row if e != OUT_ZERO) <= 1
+    mx = {(q, q2): out for q, q2, out in _moves(a, X)}
+    my = {(q, q2): out for q, q2, out in _moves(a, Y)}
+    q0, q1, qf = a.q0, a.root, a.qf
+    assert mx[(q0, q1)] == OUT_ONE
+    assert mx[(qf, q1)] == OUT_ONE
+    assert my[(q1, qf)] == ("var", 0)
+    assert OUT_ZERO not in mx.values() and OUT_ZERO not in my.values()
+    # determinism: at most one nonzero per row per letter, rows in order
+    for letter in (X, Y):
+        rows = [q for q, _, _ in _moves(a, letter)]
+        assert rows == sorted(set(rows))
     # rule 1: reading y from the start state kills everything
-    assert all(e == OUT_ZERO for e in tm.my[q0])
+    assert all(q != q0 for q, _ in my)
 
 
 def test_kill_and_parse_properties_exhaustive():
@@ -217,6 +221,23 @@ def test_recover_abp_three_word_lengths():
         embedded = phi_abp(p, e)
         assert embedded.expand() == phi_poly_oracle(f, e)
         assert recover_abp(embedded, a).expand() == f
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_recover_abp_paper_mode(n):
+    """Uniform word length: every edge of a 3-gap ABP is blown up through
+    the deep trie, where q2 is q1, delta(q1, x) or delta(q1, y)."""
+    rng = random.Random(67 + n)
+    abn = Alphabet.nvars(n)
+    e = Embedding.for_variables(n, "paper")
+    a = build_automaton(e.wordset)
+    lbl = lambda: NcPoly(abn, QQ, [((), QQ.from_int(rng.randint(0, 1)))]
+                         + [((i,), QQ.from_int(rng.randint(-1, 1))) for i in range(n)])
+    p = Abp(abn, QQ, (1, 2, 2, 1), [{(0, 0): lbl(), (0, 1): lbl()},
+                                    {(0, 0): lbl(), (0, 1): lbl(), (1, 1): lbl()},
+                                    {(0, 0): lbl(), (1, 0): lbl()}])
+    f = p.expand()
+    assert recover_abp(phi_abp(p, e), a).expand() == f
 
 
 def phi_poly_oracle(f, e):

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from ncfactor import cli, linmat
+from ncfactor import cli, factoring, linmat
 from ncfactor.errors import SoundnessError
-from ncfactor.fields import QQ
+from ncfactor.factoring import complete_factorizations, left_factors
+from ncfactor.fields import GF2, QQ
 from ncfactor.linmat import LinearMatrix, factor_3x3
 from ncfactor.matrix import Matrix
+from ncfactor.ncpoly import Alphabet, NcPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +42,41 @@ def test_cli_reports_soundness_error_with_exit_2(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: soundness:")
 
 
+X = NcPoly.variable(Alphabet.bivariate(), GF2, 0)
+XY = X * NcPoly.variable(Alphabet.bivariate(), GF2, 1)
+
+
+def _plus_one(divide):
+    """`divide` with 1 added to its quotient: still monic of the same
+    degree, but no longer a factor."""
+    def wrong(f, g):
+        q = divide(f, g)
+        return None if q is None else q + NcPoly.one(q.alphabet, q.field)
+    return wrong
+
+
+def test_oracle_left_factor_check_raises_soundness_error(monkeypatch):
+    assert left_factors(XY, 1) == [X]
+    monkeypatch.setattr(factoring, "right_divide", _plus_one(factoring.right_divide))
+    with pytest.raises(SoundnessError):
+        left_factors(XY, 1)
+
+
+def test_oracle_multiply_back_raises_soundness_error(monkeypatch):
+    assert len(complete_factorizations(XY)) == 1
+    monkeypatch.setattr(factoring, "left_divide", _plus_one(factoring.left_divide))
+    with pytest.raises(SoundnessError):
+        complete_factorizations(XY)
+
+
+def test_cli_reports_oracle_soundness_error_with_exit_2(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "xy.poly"
+    path.write_text(XY.to_text())
+    monkeypatch.setattr(factoring, "right_divide", _plus_one(factoring.right_divide))
+    assert cli.main(["factor-dense", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: soundness:")
+
+
 def test_answer_checks_survive_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -48,7 +85,10 @@ def test_answer_checks_survive_python_O():
          "tests/test_acceptance.py::test_criterion_8_factor_3x3",
          "tests/test_acceptance.py::test_criterion_9_quaternion_gadget",
          "tests/test_soundness.py::test_corrupted_certificate_raises_soundness_error",
-         "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2"],
+         "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2",
+         "tests/test_soundness.py::test_oracle_left_factor_check_raises_soundness_error",
+         "tests/test_soundness.py::test_oracle_multiply_back_raises_soundness_error",
+         "tests/test_soundness.py::test_cli_reports_oracle_soundness_error_with_exit_2"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "7 passed" in proc.stdout
