@@ -75,6 +75,16 @@ def eval_affine(label, assignment):
     return acc
 
 
+def _budgeted_product(a, b, budget):
+    """a * b, refused before it runs when it would touch more than
+    `budget` pairs of terms, so one product cannot exhaust memory."""
+    touched = len(a.terms) * len(b.terms)
+    if touched > budget:
+        raise BudgetExceededError("expansion product touches %d terms, budget %d"
+                                  % (touched, budget))
+    return a * b
+
+
 class Circuit:
     """DAG of gates; gate k may reference only gates 0..k-1."""
 
@@ -130,7 +140,9 @@ class Circuit:
 
     def expand(self, degree_bound=None, budget=EXPAND_BUDGET):
         """Exact dense polynomial by bottom-up propagation (a test oracle,
-        not a production path: every gate's support is budget-capped)."""
+        not a production path: every gate's support is budget-capped, and
+        a product is refused before it runs when the pairs of terms it
+        would touch pass the budget)."""
         vals = []
         for g in self.gates:
             kind = g[0]
@@ -141,7 +153,7 @@ class Circuit:
             elif kind == "add":
                 vals.append(vals[g[1]] + vals[g[2]])
             else:
-                vals.append(vals[g[1]] * vals[g[2]])
+                vals.append(_budgeted_product(vals[g[1]], vals[g[2]], budget))
             if len(vals[-1].terms) > budget:
                 raise BudgetExceededError("expansion support exceeds %d terms" % budget)
         out = vals[self.output]
@@ -402,7 +414,7 @@ class Abp:
             nxt = [NcPoly.zero(self.alphabet, self.field)
                    for _ in range(self.layer_sizes[k + 1])]
             for (u, v), label in block.items():
-                nxt[v] = nxt[v] + vals[u] * label
+                nxt[v] = nxt[v] + _budgeted_product(vals[u], label, budget)
                 if len(nxt[v].terms) > budget:
                     raise BudgetExceededError("expansion support exceeds %d terms" % budget)
             vals = nxt

@@ -10,6 +10,13 @@ complete search, at a tiny fraction of the cost of enumerating all of g.
 
 Soundness is re-checked by exact multiplication on every factor found;
 a failed check raises SoundnessError, also under `python -O`.
+
+Budget contract: a search of degree-k left factors of f costs
+p^k * (number of words of length <= deg f - k) recurrence steps.  One
+`left_factors` call raises BudgetExceededError when its own cost passes
+the budget; `is_irreducible` and `complete_factorizations` charge every
+search they make against one counter, so a single call of either is
+bounded as a whole.
 """
 
 from __future__ import annotations
@@ -59,6 +66,15 @@ def _words_descending(alphabet_size, max_len):
         yield from product(range(alphabet_size), repeat=length)
 
 
+def _search_steps(f, k):
+    """Recurrence steps of one `left_factors(f, k)` call: p^k prefix
+    assignments, each over every word of length <= deg f - k."""
+    if f.is_zero() or not 1 <= k <= f.degree:
+        return 0
+    a = f.alphabet.size
+    return f.field.p ** k * sum(a ** m for m in range(f.degree - k + 1))
+
+
 def left_factors(f, k, budget=DEFAULT_BUDGET):
     """All monic degree-k left factors of f, in canonical order.
 
@@ -66,7 +82,10 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     of degree k, then lm(g) is the length-k prefix w0 of lm(f), and for
     every word v the coefficient of w0*v in f equals
     h(v) + sum_j g(w0[:j]) * h(w0[j:]*v), which determines h from the k
-    prefix coefficients alone.  The budget counts recurrence steps.
+    prefix coefficients alone.  The recurrence runs on plain ints mod p;
+    h becomes an NcPoly only when it has full degree, and g then comes
+    back by `right_divide`.  The budget bounds the recurrence steps of
+    this one call.
     """
     _check_field(f)
     if f.is_zero():
@@ -74,37 +93,36 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     d = f.degree
     if not 1 <= k <= d:
         return []
+    steps = _search_steps(f, k)
+    if steps > budget:
+        raise BudgetExceededError(
+            "left-factor search needs %d steps, limit %d" % (steps, budget))
     field = f.field
     p = field.p
     w0 = f.leading_monomial()[:k]
     suffixes = [w0[j:] for j in range(k)]
     a = f.alphabet.size
     rem_deg = d - k
-
-    n_words = sum(a ** m for m in range(rem_deg + 1))
-    steps = p ** k * n_words
-    if steps > budget:
-        raise BudgetExceededError(
-            "left-factor search needs %d steps, budget %d" % (steps, budget))
-
+    coeffs = {w: c.value for w, c in f.terms.items()}
     elems = [field.from_int(t) for t in range(p)]
     found = []
     seen = set()
     for assignment in product(range(p), repeat=k):
-        gammas = [elems[t] for t in assignment]
+        active = [(suffixes[j], t) for j, t in enumerate(assignment) if t]
         eta = {}
         for v in _words_descending(a, rem_deg):
-            val = f.coeff(w0 + v)
-            for j in range(k):
-                if assignment[j]:
-                    longer = eta.get(suffixes[j] + v)
-                    if longer is not None:
-                        val = val - gammas[j] * longer
-            if val != field.zero:
+            val = coeffs.get(w0 + v, 0)
+            for suffix, t in active:
+                longer = eta.get(suffix + v)
+                if longer is not None:
+                    val -= t * longer
+            val %= p
+            if val:
                 eta[v] = val
-        h = NcPoly(f.alphabet, field, eta)
-        if h.is_zero() or h.degree != rem_deg:
+        # words come longest first, so the first key has the top degree
+        if not eta or len(next(iter(eta))) != rem_deg:
             continue
+        h = NcPoly(f.alphabet, field, {v: elems[t] for v, t in eta.items()})
         g = right_divide(f, h)
         if g is None:
             continue
@@ -121,17 +139,36 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     return found
 
 
+def _metered(budget):
+    """`left_factors` charged against one shared step counter: a search
+    that would take the total past `budget` raises before it runs."""
+    used = 0
+
+    def search(g, k):
+        nonlocal used
+        steps = _search_steps(g, k)
+        if used + steps > budget:
+            raise BudgetExceededError(
+                "factor search used %d of limit %d steps; the next left-factor "
+                "search needs %d" % (used, budget, steps))
+        used += steps
+        return left_factors(g, k, budget)
+    return search
+
+
 def _poly_key(g):
     return tuple(sorted((w, c.value) for w, c in g.terms.items()))
 
 
 def is_irreducible(f, budget=DEFAULT_BUDGET):
-    """True when f (degree >= 1) has no nontrivial left factor."""
+    """True when f (degree >= 1) has no nontrivial left factor; the
+    budget bounds the steps of all its left-factor searches together."""
     _check_field(f)
     if f.is_zero() or f.degree < 1:
         raise ValueError("irreducibility is about polynomials of degree >= 1")
+    search = _metered(budget)
     for k in range(1, f.degree):
-        if left_factors(f, k, budget):
+        if search(f, k):
             return False
     return True
 
@@ -142,13 +179,17 @@ def complete_factorizations(f, budget=DEFAULT_BUDGET):
     Recursion: a complete factorization is an irreducible monic left
     factor followed by a complete factorization of the cofactor.  The
     minimal-degree left factor is always irreducible, so 'no proper left
-    factor' certifies irreducibility.
+    factor' certifies irreducibility.  The budget bounds the recurrence
+    steps of every left-factor search of the call together, so the whole
+    search ends in bounded time; a search that would pass it raises
+    BudgetExceededError, naming the steps used against the limit.
     """
     _check_field(f)
     if f.is_zero():
         raise ValueError("the zero polynomial has no factorization")
     field = f.field
     lc, fm = f.monic()
+    search = _metered(budget)
     memo = {}
 
     def rec(g):
@@ -160,7 +201,7 @@ def complete_factorizations(f, budget=DEFAULT_BUDGET):
             return memo[key]
         out = set()
         for k in range(1, g.degree):
-            for left in left_factors(g, k, budget):
+            for left in search(g, k):
                 if not irr(left):
                     continue
                 rest = left_divide(g, left)
@@ -179,7 +220,7 @@ def complete_factorizations(f, budget=DEFAULT_BUDGET):
             if g.degree < 1:
                 irr_memo[key] = False
             else:
-                irr_memo[key] = all(not left_factors(g, k, budget)
+                irr_memo[key] = all(not search(g, k)
                                     for k in range(1, g.degree))
         return irr_memo[key]
 

@@ -7,13 +7,17 @@ position, where a lower letter index wins.  On the bivariate alphabet
 {x, y} (x = 0, y = 1) this is exactly: longer words are larger, and at
 equal degree x beats y — so the order is multiplicative on both sides
 and leading monomials multiply: lm(f*g) = lm(f)lm(g).
+
+Exact division has one core, `_divide`, behind `left_divide` and
+`right_divide`: it keeps the remainder as one mutable {word: coeff}
+dict and subtracts each quotient term times g in place.
 """
 
 from __future__ import annotations
 
 from ncfactor import textio
 from ncfactor.errors import FormatError
-from ncfactor.fields import field_spec, parse_field
+from ncfactor.fields import PrimeField, field_spec, parse_field
 
 NEG_INF = float("-inf")
 
@@ -91,6 +95,13 @@ def word_key(word):
     return (len(word), tuple(-c for c in word))
 
 
+def _order_key(word):
+    """The monomial order reversed, and cheap: the least key is the
+    largest word (longer first, then the lower letter at the leftmost
+    difference), the same order `word_key` realizes."""
+    return (-len(word), word)
+
+
 def imbalance(word):
     """#x minus #y of a bivariate word."""
     return sum(1 if c == X else -1 for c in word)
@@ -163,12 +174,12 @@ class NcPoly:
 
     def support(self):
         """Words with nonzero coefficient, largest first."""
-        return sorted(self.terms, key=word_key, reverse=True)
+        return sorted(self.terms, key=_order_key)
 
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("leading monomial of the zero polynomial")
-        return max(self.terms, key=word_key)
+        return min(self.terms, key=_order_key)
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -230,17 +241,11 @@ class NcPoly:
         lc = self.leading_coeff()
         return lc, self.scale(self.field.one / lc)
 
-    def reversed_words(self):
-        """Anti-automorphism: every word reversed in place."""
-        return NcPoly(self.alphabet, self.field,
-                      {tuple(reversed(w)): c for w, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "NcPoly(0)"
         parts = ["%s %s" % (c, self.alphabet.word_to_str(w))
-                 for w, c in sorted(self.terms.items(), key=lambda t: word_key(t[0]),
-                                    reverse=True)]
+                 for w, c in sorted(self.terms.items(), key=lambda t: _order_key(t[0]))]
         return "NcPoly(%s)" % " + ".join(parts)
 
     # -- serialization -------------------------------------------------
@@ -271,38 +276,78 @@ class NcPoly:
         return cls(alphabet, field, terms)
 
 
-def left_divide(f, g):
-    """Exact left quotient: h with f = g*h, or None when no such h exists.
+def _divide(f, g, side):
+    """The division core: q with f = g*q (side "left") or f = q*g (side
+    "right"), or None when g does not divide f on that side.
 
-    Repeatedly matches the leading monomial of the remainder against
-    lm(g)*suffix; the quotient is unique because the free algebra is a
-    domain and the order is multiplicative.
+    The remainder is one mutable {word: coeff} dict.  Each step takes its
+    leading word m, which must be lm(g)+s (left) or s+lm(g) (right); the
+    quotient term c*s is fixed by the leading coefficients, and c*s times
+    the rest of g is subtracted in place.  The leading word strictly
+    drops at every step, because the order is multiplicative, so the
+    quotient is unique and the loop ends.  Over F_p the coefficients are
+    plain ints mod p until the quotient is built; over Q they stay
+    Fractions.
     """
     f._compatible(g)
     if g.is_zero():
-        raise ZeroDivisionError("left division by the zero polynomial")
-    h = NcPoly.zero(f.alphabet, f.field)
-    rem = f
+        raise ZeroDivisionError("%s division by the zero polynomial" % side)
+    left = side == "left"
+    field = f.field
+    p = field.p if isinstance(field, PrimeField) else 0
+    if p:
+        rem = {w: c.value for w, c in f.terms.items()}
+        gterms = {w: c.value for w, c in g.terms.items()}
+    else:
+        rem = dict(f.terms)
+        gterms = g.terms
     glm = g.leading_monomial()
-    glc = g.leading_coeff()
+    inv = pow(gterms[glm], -1, p) if p else 1 / gterms[glm]
     k = len(glm)
-    while not rem.is_zero():
-        m = rem.leading_monomial()
-        if m[:k] != glm:
+    rest = [(w, -c) for w, c in gterms.items() if w != glm]
+    quot = {}
+    while rem:
+        m = min(rem, key=_order_key)
+        if left:
+            matched, s = m[:k], m[k:]
+        else:
+            s, matched = m[:len(m) - k], m[len(m) - k:]
+        # a word shorter than lm(g) gives a shorter slice: no match
+        if matched != glm:
             return None
-        suffix = m[k:]
-        c = rem.terms[m] / glc
-        t = NcPoly.monomial(f.alphabet, f.field, suffix, c)
-        h = h + t
-        rem = rem - g * t
-    return h
+        c = rem.pop(m) * inv
+        if p:
+            c %= p
+        quot[s] = c
+        for w, neg in rest:
+            word = w + s if left else s + w
+            old = rem.get(word)
+            val = neg * c if old is None else old + neg * c
+            if p:
+                val %= p
+            if val:
+                rem[word] = val
+            else:
+                del rem[word]
+    if p:
+        quot = {s: field.from_int(c) for s, c in quot.items()}
+    return NcPoly(f.alphabet, field, quot)
+
+
+def left_divide(f, g):
+    """Exact left quotient: h with f = g*h, or None when no such h exists.
+
+    The leading word of the remainder must start with lm(g) at every
+    step; the quotient is unique because the free algebra is a domain
+    and the order is multiplicative.
+    """
+    return _divide(f, g, "left")
 
 
 def right_divide(f, g):
-    """Exact right quotient: h with f = h*g, or None.
+    """Exact right quotient: h with f = h*g, or None when no such h exists.
 
-    Word reversal is an anti-automorphism, so f = h*g iff
-    rev(f) = rev(g)*rev(h); delegate to left division.
+    The mirror of `left_divide`: the leading word of the remainder must
+    end with lm(g), and suffixes are matched directly.
     """
-    h = left_divide(f.reversed_words(), g.reversed_words())
-    return None if h is None else h.reversed_words()
+    return _divide(f, g, "right")

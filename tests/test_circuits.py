@@ -76,6 +76,48 @@ def test_expand_budget():
         c.expand(budget=100)
 
 
+def test_expand_refuses_a_product_before_it_runs(monkeypatch):
+    """(x+y)^5 squared touches 32*32 = 1024 pairs of terms: with budget
+    1000 no product of that size may be computed at all."""
+    b = CircuitBuilder(AB, QQ)
+    s = b.add(b.var(0), b.var(1))
+    p = s
+    for _ in range(4):
+        p = b.mul(p, s)
+    c = b.build(b.mul(p, p))
+    touched = []
+    real_mul = NcPoly.__mul__
+
+    def spy(f, g):
+        touched.append(len(f.terms) * len(g.terms))
+        return real_mul(f, g)
+
+    monkeypatch.setattr(NcPoly, "__mul__", spy)
+    with pytest.raises(BudgetExceededError, match="touches 1024 terms, budget 1000"):
+        c.expand(budget=1000)
+    assert touched == [4, 8, 16, 32]
+
+
+def test_expand_budget_counts_terms_touched_not_kept():
+    """Over F2, (x+1)(x+1) = x^2 + 1 keeps 2 terms but touches 4."""
+    b = CircuitBuilder(AB, GF2)
+    s = b.add(b.var(0), b.const(GF2.one))
+    c = b.build(b.mul(s, s))
+    assert len(c.expand(budget=4).terms) == 2
+    with pytest.raises(BudgetExceededError):
+        c.expand(budget=3)
+
+
+def test_abp_expand_refuses_a_product_before_it_runs():
+    """Two layers labelled 1 + x + y: the second product touches 3*3 = 9
+    pairs of terms, though the expansion keeps only 7."""
+    label = NcPoly(AB, QQ, [((), QQ.one), ((0,), QQ.one), ((1,), QQ.one)])
+    p = Abp(AB, QQ, (1, 1, 1), [{(0, 0): label}, {(0, 0): label}])
+    assert len(p.expand(budget=9).terms) == 7
+    with pytest.raises(BudgetExceededError):
+        p.expand(budget=8)
+
+
 def test_expand_degree_bound():
     b = CircuitBuilder(AB, QQ)
     c = b.build(b.mul(b.var(0), b.var(0)))

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import product
 
 import pytest
 
@@ -7,7 +9,7 @@ from ncfactor.factoring import (complete_factorizations, is_irreducible,
                                 left_factors)
 from ncfactor.fields import GF2, GF3, QQ, PrimeField
 from ncfactor.matrix import Matrix
-from ncfactor.ncpoly import Alphabet, NcPoly, left_divide
+from ncfactor.ncpoly import Alphabet, NcPoly, left_divide, right_divide
 
 AB = Alphabet.bivariate()
 
@@ -70,6 +72,85 @@ def test_left_factors_budget():
         f = f * (x + NcPoly.one(AB, GF2))
     with pytest.raises(BudgetExceededError):
         left_factors(f, 4, budget=10)
+
+
+def _used_and_limit(exc):
+    used, limit, need = map(int, re.search(
+        r"used (\d+) of limit (\d+) steps; the next left-factor search needs (\d+)",
+        str(exc.value)).groups())
+    assert used <= limit < used + need
+    return used, limit
+
+
+def test_complete_factorizations_budget_is_cumulative():
+    """x^4 over F2 searches k = 1, 2, 3 at 30, 28 and 24 steps: every
+    search fits a budget of 40, the whole factorization does not."""
+    x = NcPoly.variable(AB, GF2, 0)
+    f = x * x * x * x
+    assert [(s, fs) for s, fs in complete_factorizations(f)] == [(GF2.one, (x, x, x, x))]
+    for k in (1, 2, 3):
+        left_factors(f, k, budget=40)
+    with pytest.raises(BudgetExceededError) as exc:
+        complete_factorizations(f, budget=40)
+    assert _used_and_limit(exc) == (30, 40)
+
+
+def test_is_irreducible_budget_is_cumulative():
+    x = NcPoly.variable(AB, GF2, 0)
+    y = NcPoly.variable(AB, GF2, 1)
+    f = x * y * y * x + NcPoly.one(AB, GF2)
+    assert is_irreducible(f, budget=82)
+    with pytest.raises(BudgetExceededError) as exc:
+        is_irreducible(f, budget=81)
+    assert _used_and_limit(exc) == (58, 81)
+
+
+def _reference_left_factors(f, k):
+    """The oracle's recurrence on field elements, written out plainly:
+    every full-degree cofactor h, then g by right division."""
+    field = f.field
+    w0 = f.leading_monomial()[:k]
+    rem_deg = f.degree - k
+    found = {}
+    for assignment in product(range(field.p), repeat=k):
+        gammas = [field.from_int(t) for t in assignment]
+        eta = {}
+        for length in range(rem_deg, -1, -1):
+            for v in product(range(f.alphabet.size), repeat=length):
+                val = f.coeff(w0 + v)
+                for j in range(k):
+                    longer = eta.get(w0[j:] + v)
+                    if longer is not None:
+                        val = val - gammas[j] * longer
+                if val != field.zero:
+                    eta[v] = val
+        h = NcPoly(f.alphabet, field, eta)
+        if h.is_zero() or h.degree != rem_deg:
+            continue
+        g = right_divide(f, h)
+        if g is not None and g * h == f:
+            found[tuple(sorted((w, c.value) for w, c in g.terms.items()))] = g
+    return [found[key] for key in sorted(found)]
+
+
+def test_left_factors_match_field_element_reference():
+    rng = random.Random(77)
+    fields = (GF2, GF3, PrimeField(5))
+    products = 0
+    searches = [0, 0]
+    while products < 30:
+        field = fields[products % 3]
+        ab = Alphabet.nvars(rng.randint(1, 3))
+        f = (rand_poly(rng, ab, field, max_deg=2, max_terms=4)
+             * rand_poly(rng, ab, field, max_deg=2, max_terms=4))
+        if f.degree < 2 or (field.p == 5 and f.degree > 3):
+            continue
+        products += 1
+        for k in range(1, f.degree + 1):
+            fast = left_factors(f, k)
+            assert fast == _reference_left_factors(f, k), (f, k)
+            searches[bool(fast)] += 1
+    assert min(searches) >= 10
 
 
 def test_oracle_rejects_large_fields():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ncfactor.fields import GF2, QQ
+from ncfactor.fields import GF2, GF3, QQ, PrimeField
 from ncfactor.ncpoly import (Alphabet, NcPoly, bar, imbalance, left_divide,
                              right_divide, word_key)
 
 AB = Alphabet.bivariate()
+GF5 = PrimeField(5)
 
 
 def biv(text, field=QQ):
@@ -21,6 +22,16 @@ def rand_poly(rng, alphabet, field, max_deg=3, max_terms=4):
         w = tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_deg)))
         c = field.from_int(rng.randint(-3, 3)) if field is QQ else field.from_int(rng.randrange(field.p))
         terms.append((w, c))
+    return NcPoly(alphabet, field, terms)
+
+
+def rand_nonzero_coeff_poly(rng, alphabet, field):
+    """Like rand_poly, but every drawn coefficient is nonzero."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(rng.randrange(alphabet.size) for _ in range(rng.randint(0, 3)))
+        c = rng.choice([-3, -2, -1, 1, 2, 3]) if field is QQ else rng.randrange(1, field.p)
+        terms.append((w, field.from_int(c)))
     return NcPoly(alphabet, field, terms)
 
 
@@ -118,6 +129,60 @@ def test_division_round_trip():
             continue
         assert left_divide(g * h, g) == h
         assert right_divide(g * h, h) == g
+    for field in (QQ, GF2, GF3, GF5):
+        checked = 0
+        for _ in range(40):
+            alphabet = Alphabet.nvars(rng.randint(1, 3))
+            g = rand_nonzero_coeff_poly(rng, alphabet, field)
+            h = rand_nonzero_coeff_poly(rng, alphabet, field)
+            if g.is_zero() or h.is_zero():
+                continue
+            assert left_divide(g * h, g) == h
+            assert right_divide(g * h, h) == g
+            checked += 1
+        assert checked >= 25
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["Q", "F2", "F3", "F5"])
+def test_division_core_rejects_non_divisible(field):
+    """g*h + 1 has no left factor g (nor right factor h) of degree >= 1:
+    g*(q - h) = 1 would make g a unit."""
+    rng = random.Random(30 + (0 if field is QQ else field.p))
+    checked = 0
+    for _ in range(40):
+        alphabet = Alphabet.nvars(rng.randint(1, 3))
+        g = rand_nonzero_coeff_poly(rng, alphabet, field)
+        h = rand_nonzero_coeff_poly(rng, alphabet, field)
+        if g.is_zero() or h.is_zero():
+            continue
+        f = g * h + NcPoly.one(alphabet, field)
+        if g.degree >= 1:
+            assert left_divide(f, g) is None
+        if h.degree >= 1:
+            assert right_divide(f, h) is None
+        checked += 1
+    assert checked >= 25
+    x, y = NcPoly.variable(AB, field, 0), NcPoly.variable(AB, field, 1)
+    assert left_divide(x * y, y) is None
+    assert right_divide(x * y, x) is None
+    assert right_divide(x, x * y) is None
+
+
+def test_division_by_zero_names_its_side():
+    with pytest.raises(ZeroDivisionError, match="left division"):
+        left_divide(biv("xy"), NcPoly.zero(AB, QQ))
+    with pytest.raises(ZeroDivisionError, match="right division"):
+        right_divide(biv("xy"), NcPoly.zero(AB, QQ))
+
+
+def test_support_and_leading_monomial_follow_word_key():
+    rng = random.Random(40)
+    for _ in range(30):
+        f = rand_poly(rng, Alphabet.nvars(3), QQ, max_deg=4, max_terms=8)
+        if f.is_zero():
+            continue
+        assert f.support() == sorted(f.terms, key=word_key, reverse=True)
+        assert f.leading_monomial() == max(f.terms, key=word_key)
 
 
 def test_degree_additivity_and_order_multiplicativity():
