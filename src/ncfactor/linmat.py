@@ -2,9 +2,19 @@
 
 A linear matrix is L = A0 + sum_i A_i x_i with scalar rational
 matrices.  This module provides certificate-checked factorization: the
-3x3 algorithm (common eigenvector splits with full 2x2 case analysis),
-the 4x4 quaternion gadget, and both directions of the zero-divisor /
-factorization translation.
+3x3 algorithm, the 4x4 quaternion gadget, and both directions of the
+zero-divisor / factorization translation.
+
+Every certificate is assembled by one routine, `_split`, from a basis
+change that makes all coefficients block-lower-triangular:
+
+    diag(pt, pb) [[T, 0], [D, B]] diag(qt, qb)
+        = diag(pt*T*qt, I) [[I, 0], [pb*D*qt, I]] diag(I, pb*B*qb).
+
+The 3x3 algorithm takes the basis change from a common eigenline of the
+coefficients (right lines first, then left ones) and splits the 2x2
+diagonal block the same way; the quaternion gadget takes it from the
+left ideal of a zero divisor and splits no further.
 
 A certificate (P, Q, factors) asserts P*L*Q = product of the factors as
 matrices over the free algebra; verification compares the coefficient
@@ -287,9 +297,12 @@ def _normalize_line(w):
 def common_eigenlines(mats, side="right"):
     """All lines spanned by common eigenvectors of the matrices (one
     representative per all-scalar subspace), each with its eigenvalue
-    tuple.  side='left' works with row vectors via transposes."""
+    tuple, sorted; dimension <= 3.  side='left' works with row vectors
+    w, w*A_i = lambda_i*w, via transposes."""
     if not mats:
         raise ValueError("need at least one matrix")
+    if mats[0].nrows > 3:
+        raise ValueError("common eigenline search capped at dimension 3")
     work = [m.transpose() for m in mats] if side == "left" else list(mats)
     d = work[0].nrows
     found = []
@@ -335,18 +348,6 @@ def common_eigenlines(mats, side="right"):
     return out
 
 
-def common_eigenvector(mats, side="right"):
-    """First common eigenvector (with eigenvalues), or None; for
-    side='left' the vector is a row vector w with w*A_i = lambda_i*w."""
-    for m in mats:
-        if m.nrows > 3:
-            raise ValueError("common eigenvector search capped at dimension 3")
-    lines = common_eigenlines(mats, side)
-    if not lines:
-        return None
-    return lines[0]
-
-
 # -- split/assembly helpers ---------------------------------------------
 
 def _complete_basis(vectors, d):
@@ -361,20 +362,6 @@ def _complete_basis(vectors, d):
     return [cols[j] for j in pivots]
 
 
-def _conj_split(L, p, k):
-    """Conjugate L by p and slice into blocks with top-left size k; the
-    top-right block must vanish in every coefficient."""
-    conj = L.conjugate(p)
-    d = L.d
-    head, tail = range(k), range(k, d)
-    for m in conj.mats[1:]:
-        assert m.submatrix(head, tail).is_zero(), "split subspace is not invariant"
-    tops = [m.submatrix(head, head) for m in conj.mats]
-    bottoms = [m.submatrix(tail, tail) for m in conj.mats]
-    ds = [m.submatrix(tail, head) for m in conj.mats[1:]]
-    return LinearMatrix(tops), ds, LinearMatrix(bottoms)
-
-
 def _place(m, base, row0, col0):
     """base with the block m written over it at (row0, col0)."""
     rows = [list(r) for r in base.rows]
@@ -383,10 +370,9 @@ def _place(m, base, row0, col0):
     return Matrix(QQ, rows)
 
 
-def _lift_factor(factor, d, where):
-    """Lift a k x k linear factor to d x d: constant block inside an
-    identity, coefficient blocks inside zeros."""
-    off = 0 if where == "top" else d - factor.d
+def _lift_factor(factor, d, off):
+    """Lift a linear factor to d x d at diagonal offset off: constant
+    block inside an identity, coefficient blocks inside zeros."""
     ident, zero = Matrix.identity(QQ, d), Matrix.zeros(QQ, d, d)
     return LinearMatrix([_place(factor.mats[0], ident, off, off)]
                         + [_place(m, zero, off, off) for m in factor.mats[1:]])
@@ -398,11 +384,15 @@ def _unip_factor(ds, d, k):
     return LinearMatrix([Matrix.identity(QQ, d)] + [_place(di, zero, k, 0) for di in ds])
 
 
-def _scalar_line_factor(lams, d, pos):
-    """Diagonal factor with 1 + sum lam_i x_i at position pos, 1 elsewhere."""
-    zero = Matrix.zeros(QQ, d, d)
-    return LinearMatrix([Matrix.identity(QQ, d)]
-                        + [_place(Matrix(QQ, [[lam]]), zero, pos, pos) for lam in lams])
+def _scalar_family(lams, d):
+    """Data (p, q, factors, flags) when every coefficient is lam_i*I:
+    L = prod_pos diag(1, .., 1 + sum lam_i x_i, .., 1), one factor per
+    diagonal position."""
+    zero, ident = Matrix.zeros(QQ, d, d), Matrix.identity(QQ, d)
+    factors = [LinearMatrix([ident] + [_place(Matrix(QQ, [[lam]]), zero, pos, pos)
+                                       for lam in lams])
+               for pos in range(d)]
+    return ident, ident, factors, [False] * d
 
 
 def _all_scalar(mats):
@@ -430,65 +420,95 @@ def _charpoly_witness(L):
     return None
 
 
+def _diag(a, b):
+    """The block-diagonal matrix diag(a, b)."""
+    zero = QQ.zero
+    return Matrix(QQ, [r + (zero,) * b.ncols for r in a.rows]
+                  + [(zero,) * a.ncols + r for r in b.rows])
+
+
+def _whole(L):
+    """Data (p, q, factors, flags) of a side that is not split further:
+    identity basis changes and L itself, no factor when L is constant."""
+    ident = Matrix.identity(QQ, L.d)
+    return (ident, ident, [L], [False]) if L.degree else (ident, ident, [], [])
+
+
+def _split(L, p, k, split_top, split_bottom):
+    """Data (P, Q, factors, flags) with P*L*Q = product of the factors,
+    for L with identity constant term and a basis change p after which
+    every coefficient is block-lower-triangular, [[T, 0], [D, B]] with T
+    of size k.  With (pt, qt, ...) = split_top(T) and (pb, qb, ...) =
+    split_bottom(B), the certificates of the two diagonal blocks,
+
+        diag(pt, pb) [[T, 0], [D, B]] diag(qt, qb)
+            = diag(pt*T*qt, I) [[I, 0], [pb*D*qt, I]] diag(I, pb*B*qb),
+
+    so P = diag(pt, pb)*p and Q = p^-1*diag(qt, qb)."""
+    pinv = p.inverse()
+    conj = [p * m * pinv for m in L.mats]
+    d = L.d
+    head, tail = range(k), range(k, d)
+    for m in conj[1:]:
+        assert m.submatrix(head, tail).is_zero(), "split subspace is not invariant"
+    pt, qt, top, top_flags = split_top(LinearMatrix([m.submatrix(head, head) for m in conj]))
+    pb, qb, bottom, bottom_flags = split_bottom(
+        LinearMatrix([m.submatrix(tail, tail) for m in conj]))
+    factors = [_lift_factor(f, d, 0) for f in top]
+    flags = list(top_flags)
+    ds = [pb * m.submatrix(tail, head) * qt for m in conj[1:]]
+    if any(not x.is_zero() for x in ds):
+        factors.append(_unip_factor(ds, d, k))
+        flags.append(True)
+    factors.extend(_lift_factor(f, d, k) for f in bottom)
+    flags.extend(bottom_flags)
+    return _diag(pt, pb) * p, pinv * _diag(qt, qb), factors, flags
+
+
+def _eigen_split(L):
+    """The split of L (identity constant term, d = 2 or 3) along a common
+    eigenline of its coefficients with the most nontrivial factors, or
+    None when they have no common eigenline.  The first such candidate
+    is kept; one with two nontrivial factors ends the search."""
+    best = None
+    for cand in _eigen_candidates(L):
+        count = cand[3].count(False)
+        if best is None or count > best[3].count(False):
+            best = cand
+        if count >= 2:
+            break
+    return best
+
+
+def _eigen_candidates(L):
+    """Splits of L along its common eigenlines, in order.  A right line w
+    as the last basis vector leaves a 1x1 block at the bottom and the
+    (d-1)x(d-1) block on top, which `_factor_small` splits further.  For
+    d = 3 the left lines follow, computed only when the right ones are
+    used up: w as the first row leaves the 1x1 block on top."""
+    d, coeffs = L.d, L.mats[1:]
+    for w, _lams in common_eigenlines(coeffs, "right"):
+        cols = _complete_basis([w], d)
+        p = Matrix.from_cols(QQ, cols[1:] + cols[:1]).inverse()
+        yield _split(L, p, d - 1, _factor_small, _whole)
+    if d == 3:
+        for w, _lams in common_eigenlines(coeffs, "left"):
+            yield _split(L, Matrix(QQ, _complete_basis([w], d)), 1, _whole, _factor_small)
+
+
 def _factor_small(L):
     """Complete factorization data (p, q, factors, flags) for a d<=2
     linear matrix with identity constant term.  Always returns a valid
     certificate decomposition; the factor list may be a single atom."""
-    d = L.d
-    ident = Matrix.identity(QQ, d)
-    if L.degree == 0:
-        return ident, ident, [], []
-    if d == 1:
-        return ident, ident, [L], [False]
-
-    lams = _all_scalar(L.mats[1:])
-    if lams is not None:
-        # B = diag(1 + sum lam x, 1) * diag(1, 1 + sum lam x)
-        return ident, ident, [_scalar_line_factor(lams, 2, 0),
-                              _scalar_line_factor(lams, 2, 1)], [False, False]
-    if _charpoly_witness(L) is not None:
-        return ident, ident, [L], [False]
-
-    best = None
-    for w, _lams in common_eigenlines(L.mats[1:], "right"):
-        p = _reorder_for_right_line(w, d)
-        top, ds, bottom = _conj_split(L, p, d - 1)
-        factors, flags = [], []
-        if top.degree:
-            factors.append(_lift_factor(top, d, "top"))
-            flags.append(False)
-        if any(not x.is_zero() for x in ds):
-            factors.append(_unip_factor(ds, d, d - 1))
-            flags.append(True)
-        if bottom.degree:
-            factors.append(_lift_factor(bottom, d, "bottom"))
-            flags.append(False)
-        count = sum(1 for f in flags if not f)
-        cand = (count, p, factors, flags)
-        if best is None or count > best[0]:
-            best = cand
-        if count == 2:
-            break
-    if best is None:
-        return ident, ident, [L], [False]
-    _count, p, factors, flags = best
-    return p, p.inverse(), factors, flags
-
-
-def _reorder_for_right_line(w, d):
-    """Invertible p with w spanning the last column of p^-1, so the
-    conjugated coefficients are block-lower-triangular with the
-    eigen-direction at the bottom."""
-    cols = _complete_basis([w], d)
-    # place w last
-    pinv = Matrix.from_cols(QQ, cols[1:] + [cols[0]])
-    return pinv.inverse()
-
-
-def _left_line_basis_change(w, d):
-    """Invertible p whose first row is the left eigenvector w."""
-    rows = _complete_basis([w], d)
-    return Matrix(QQ, rows)
+    if L.d == 2 and L.degree:
+        lams = _all_scalar(L.mats[1:])
+        if lams is not None:
+            return _scalar_family(lams, 2)
+        if _charpoly_witness(L) is None:
+            best = _eigen_split(L)
+            if best is not None:
+                return best
+    return _whole(L)
 
 
 def factor_3x3(L):
@@ -503,84 +523,25 @@ def factor_3x3(L):
     if L.d != 3:
         raise ValueError("factor_3x3 expects 3x3 linear matrices")
     original = L
-    ident = Matrix.identity(QQ, 3)
-    pre = ident
-    if L.constant != ident:
-        inv = L.constant.inverse()
-        if inv is None:
+    pre = Matrix.identity(QQ, 3)
+    if L.constant != pre:
+        pre = L.constant.inverse()
+        if pre is None:
             raise ValueError("constant term must be invertible")
-        pre = inv
-        L = L.lmul(inv)
+        L = L.lmul(pre)
 
     if L.degree == 0 or L.is_unit():
         return Irreducible("unit-linear-matrix")
-    witness = _charpoly_witness(L)
-    if witness is not None:
+    if _charpoly_witness(L) is not None:
         return Irreducible("charpoly-irreducible")
-
     lams = _all_scalar(L.mats[1:])
-    if lams is not None:
-        cert = FactorizationCert(pre, ident,
-                                 [_scalar_line_factor(lams, 3, pos) for pos in range(3)],
-                                 [False, False, False])
-        _check_cert(cert, original)
-        return cert
-
-    candidates = []
-    for w, _lams in common_eigenlines(L.mats[1:], "right"):
-        candidates.append(("right", w))
-    for w, _lams in common_eigenlines(L.mats[1:], "left"):
-        candidates.append(("left", w))
-
-    best = None
-    for side, w in candidates:
-        if side == "right":
-            p = _reorder_for_right_line(w, 3)
-            k = 2
-        else:
-            p = _left_line_basis_change(w, 3)
-            k = 1
-        top, ds, bottom = _conj_split(L, p, k)
-        block = top if k == 2 else bottom
-        p2, q2, sub_factors, sub_flags = _factor_small(block)
-        factors, flags = [], []
-        if k == 2:
-            big_p = _place(p2, ident, 0, 0) * p * pre
-            big_q = p.inverse() * _place(q2, ident, 0, 0)
-            for f, flag in zip(sub_factors, sub_flags):
-                factors.append(_lift_factor(f, 3, "top"))
-                flags.append(flag)
-            moved = [di * q2 for di in ds]
-            if any(not x.is_zero() for x in moved):
-                factors.append(_unip_factor(moved, 3, 2))
-                flags.append(True)
-            if bottom.degree:
-                factors.append(_lift_factor(bottom, 3, "bottom"))
-                flags.append(False)
-        else:
-            big_p = _place(p2, ident, 1, 1) * p * pre
-            big_q = p.inverse() * _place(q2, ident, 1, 1)
-            if top.degree:
-                factors.append(_lift_factor(top, 3, "top"))
-                flags.append(False)
-            moved = [p2 * di for di in ds]
-            if any(not x.is_zero() for x in moved):
-                factors.append(_unip_factor(moved, 3, 1))
-                flags.append(True)
-            for f, flag in zip(sub_factors, sub_flags):
-                factors.append(_lift_factor(f, 3, "bottom"))
-                flags.append(flag)
-        cert = FactorizationCert(big_p, big_q, factors, flags)
-        count = cert.nontrivial_count()
-        _check_cert(cert, original)
-        if best is None or count > best.nontrivial_count():
-            best = cert
-        if count >= 2:
-            break
-
-    if best is not None and best.nontrivial_count() >= 2:
-        return best
-    return Irreducible("exhausted-eigen-search")
+    found = _scalar_family(lams, 3) if lams is not None else _eigen_split(L)
+    if found is None or found[3].count(False) < 2:
+        return Irreducible("exhausted-eigen-search")
+    p, q, factors, flags = found
+    cert = FactorizationCert(p * pre, q, factors, flags)
+    _check_cert(cert, original)
+    return cert
 
 
 def _check_cert(cert, L):
@@ -615,15 +576,7 @@ def zdiv_to_factorization(alpha, beta, z):
     r = len(rows)
     assert 1 <= r <= 3, "a zero divisor generates a proper nonzero left ideal"
     p = Matrix(QQ, _complete_basis(rows, 4))
-    top, ds, bottom = _conj_split(L, p, r)
-    factors = [_lift_factor(top, 4, "top")]
-    flags = [False]
-    if any(not x.is_zero() for x in ds):
-        factors.append(_unip_factor(ds, 4, r))
-        flags.append(True)
-    factors.append(_lift_factor(bottom, 4, "bottom"))
-    flags.append(False)
-    cert = FactorizationCert(p, p.inverse(), factors, flags)
+    cert = FactorizationCert(*_split(L, p, r, _whole, _whole))
     _check_cert(cert, L)
     return cert
 

@@ -5,21 +5,26 @@ follows the nonzeros: the block matrices of black-box recovery are
 mostly zero.  One fraction-free elimination core
 (`Matrix._reduce`, Bareiss-style Gauss-Jordan on Python ints over Q)
 answers `rank`, `det`, `nullspace`, `inverse` and `pivot_cols`, the
-columns independent of those before them.  The characteristic
-polynomial is computed division-free by minor expansion with
-memoization (dimensions are capped at 8, per the callers' needs).
+columns independent of those before them, and the characteristic
+polynomial, whose coefficients are sums of principal minors, each a
+`det` (dimensions are capped at 8, per the callers' needs).
+`rational_roots` bounds its trial divisions by ROOTS_MAX_TRIALS.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
+from ncfactor.errors import BudgetExceededError
 from ncfactor.fields import QQ, RationalField
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
+# Trial divisions per coefficient in `rational_roots`: |a| up to 10^14.
+ROOTS_MAX_TRIALS = 10 ** 7
 
 
 class Matrix:
@@ -236,36 +241,22 @@ class Matrix:
         return Matrix(self.field, [[x / d for x in r[n:]] for r in rows])
 
     def charpoly(self):
-        """Coefficients of det(tI - M), ascending, monic; dimension <= 8."""
+        """Coefficients of det(tI - M), ascending, monic; dimension <= 8.
+
+        The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
+        principal minors, each a `det`."""
         if not self.is_square:
             raise ValueError("characteristic polynomial of non-square matrix")
         n = self.nrows
         if n > CHARPOLY_MAX_DIM:
             raise ValueError("charpoly capped at dimension %d" % CHARPOLY_MAX_DIM)
-        zero, one = self.field.zero, self.field.one
-        # entries of tI - M as degree<=1 coefficient lists
-        ent = [[(( -self.rows[i][j], one) if i == j else (-self.rows[i][j],))
-                for j in range(n)] for i in range(n)]
-        memo = {frozenset(): (one,)}
-
-        def minor(cols):
-            key = frozenset(cols)
-            if key in memo:
-                return memo[key]
-            i = n - len(cols)
-            acc = (zero,)
-            for pos, j in enumerate(cols):
-                rest = minor(cols[:pos] + cols[pos + 1:])
-                term = upoly_mul(ent[i][j], rest, self.field)
-                if pos % 2:
-                    term = tuple(-c for c in term)
-                acc = upoly_add(acc, term, self.field)
-            memo[key] = acc
-            return acc
-
-        p = minor(tuple(range(n)))
-        assert len(p) == n + 1 and p[-1] == one
-        return tuple(p)
+        coeffs = [self.field.one]
+        for k in range(1, n + 1):
+            total = self.field.zero
+            for idx in combinations(range(n), k):
+                total = total + self.submatrix(idx, idx).det()
+            coeffs.append(-total if k % 2 else total)
+        return tuple(reversed(coeffs))
 
 
 def _dot(r, c):
@@ -290,25 +281,6 @@ def upoly_trim(p, field):
     return tuple(p)
 
 
-def upoly_add(p, q, field):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return upoly_trim(out, field)
-
-
-def upoly_mul(p, q, field):
-    out = [field.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == field.zero:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return upoly_trim(out, field)
-
-
 def upoly_eval(p, x):
     acc = p[-1]
     for c in reversed(p[:-1]):
@@ -321,7 +293,9 @@ def rational_roots(coeffs):
 
     Uses the rational-root theorem on the primitive integer form; every
     candidate is verified by exact substitution.  Degree is capped at 4.
-    Returns a sorted list of (root, multiplicity) pairs.
+    Returns a sorted list of (root, multiplicity) pairs.  Raises
+    BudgetExceededError when listing the divisors of the constant or the
+    leading coefficient takes more than ROOTS_MAX_TRIALS trial divisions.
     """
     p = upoly_trim(coeffs, QQ)
     if len(p) == 1 and p[0] == 0:
@@ -343,8 +317,9 @@ def rational_roots(coeffs):
         ints = [c // content for c in ints]
         a0, alead = abs(ints[0]), abs(ints[-1])
         cands = set()
+        dens = _divisors(alead)
         for num in _divisors(a0):
-            for den in _divisors(alead):
+            for den in dens:
                 cands.add(Fraction(num, den))
                 cands.add(Fraction(-num, den))
         for r in sorted(cands):
@@ -359,15 +334,18 @@ def rational_roots(coeffs):
 
 
 def _divisors(n):
+    """Divisors of |n| by trial division up to its square root; more than
+    ROOTS_MAX_TRIALS trials raise BudgetExceededError."""
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
+    root = isqrt(n)
+    if root > ROOTS_MAX_TRIALS:
+        raise BudgetExceededError("rational-root search needs %d trial divisions, limit %d"
+                                  % (root, ROOTS_MAX_TRIALS))
+    out = set()
+    for d in range(1, root + 1):
         if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+            out.update((d, n // d))
+    return sorted(out)
 
 
 def _deflate(p, r):

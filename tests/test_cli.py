@@ -12,9 +12,9 @@ from ncfactor.ncpoly import Alphabet, NcPoly
 AB = Alphabet.bivariate()
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "ncfactor.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -108,6 +108,32 @@ def test_factor_linmat3(tmp_path):
     assert code == 0
     code, out, _ = run_cli(["verify-cert", str(cert_path), str(scal)])
     assert code == 0 and out == "ok\n"
+
+
+def _factor_large_entry(tmp_path, a):
+    """factor-linmat3 on I + A x, A = [[a,0,0],[1,2,0],[0,0,3]]: the
+    rational-root search trial-divides the charpoly's constant 6a."""
+    lm = tmp_path / "large.lm"
+    lm.write_text("linmat d=3 n=1 field=Q\n1 0 0\n0 1 0\n0 0 1\n"
+                  "%d 0 0\n1 2 0\n0 0 3\n" % a)
+    return run_cli(["factor-linmat3", str(lm)], timeout=20)
+
+
+def test_factor_linmat3_large_entry_within_the_trial_limit(tmp_path):
+    code, out, err = _factor_large_entry(tmp_path, 10 ** 12 + 39)
+    ident = "1 0 0\n0 1 0\n0 0 1\n"
+    assert code == 0 and err == ""
+    assert out == ("cert d=3 n=1 field=Q\nP\n" + ident + "Q\n" + ident
+                   + "factor unit=0\n" + ident + "1000000000039 0 0\n0 0 0\n0 0 0\n"
+                   + "factor unit=1\n" + ident + "0 0 0\n1 0 0\n0 0 0\n"
+                   + "factor unit=0\n" + ident + "0 0 0\n0 2 0\n0 0 0\n"
+                   + "factor unit=0\n" + ident + "0 0 0\n0 0 0\n0 0 3\n")
+
+
+def test_factor_linmat3_large_entry_exceeds_the_trial_limit(tmp_path):
+    code, out, err = _factor_large_entry(tmp_path, 10 ** 20 + 39)
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget: rational-root search needs")
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from ncfactor import linmat
 from ncfactor.fields import QQ
 from ncfactor.linmat import (FactorizationCert, Irreducible, LinearMatrix,
-                             common_eigenlines, common_eigenvector, factor_3x3,
+                             common_eigenlines, factor_3x3,
                              factorization_to_zdiv, is_monic, product_linear,
                              quaternion_linmat, verify_cert,
                              zdiv_to_factorization)
-from ncfactor.matrix import Matrix, matvec
+from ncfactor.matrix import Matrix, matvec, rational_roots
 from ncfactor.ncpoly import Alphabet, NcPoly
 from ncfactor.quaternion import Quaternion, hmul, is_zero_divisor
 
@@ -61,9 +63,7 @@ def test_is_monic():
 
 
 def test_common_eigenvector_identity_pair():
-    got = common_eigenvector([I2, I2], side="right")
-    assert got is not None
-    w, lams = got
+    w, lams = common_eigenlines([I2, I2], side="right")[0]
     assert lams == (1, 1)
 
 
@@ -79,19 +79,17 @@ def test_common_eigenvector_diagonal():
 
 def test_common_eigenvector_none_for_irrational_spectrum():
     companion = Matrix.from_ints(QQ, [[0, -1], [1, 0]])  # t^2 + 1
-    assert common_eigenvector([companion], side="right") is None
+    assert common_eigenlines([companion], side="right") == []
 
 
 def test_common_eigenvector_dimension_cap():
     with pytest.raises(ValueError):
-        common_eigenvector([Matrix.identity(QQ, 4)], side="right")
+        common_eigenlines([Matrix.identity(QQ, 4)], side="right")
 
 
 def test_common_eigenvector_left_side():
     a = Matrix.from_ints(QQ, [[2, 0], [5, 3]])
-    got = common_eigenvector([a], side="left")
-    assert got is not None
-    w, lams = got
+    w, lams = common_eigenlines([a], side="left")[0]
     lam = lams[0]
     prod = tuple(sum(w[i] * a[i][j] for i in range(2)) for j in range(2))
     assert prod == tuple(lam * x for x in w)
@@ -108,9 +106,7 @@ def test_common_eigenvector_verifies_all_matrices():
             diag = Matrix(QQ, [[Fraction(rng.randint(-2, 2)) if i == j else Fraction(0)
                                 for j in range(d)] for i in range(d)])
             mats.append(pinv * diag * p)
-        got = common_eigenvector(mats, side="right")
-        assert got is not None
-        w, lams = got
+        w, lams = common_eigenlines(mats, side="right")[0]
         for m, lam in zip(mats, lams):
             assert matvec(m, w) == tuple(lam * x for x in w)
 
@@ -248,6 +244,69 @@ def test_factor_3x3_keeps_atomic_2x2_block_whole():
     assert isinstance(res, FactorizationCert)
     assert verify_cert(res, lin)
     assert res.nontrivial_count() == 2
+
+
+def test_split_assembles_certificates_when_both_sides_split():
+    """`_split` with `_factor_small` on both diagonal blocks, so the basis
+    changes of the 2x2 side enter the unipotent factor from the left
+    (k = 1) or the right (k = 2)."""
+    rng = random.Random(93)
+    moved = set()
+    for _ in range(40):
+        k = rng.choice([1, 2])
+        seeds = []
+        for _ in range(rng.randint(1, 2)):
+            rows = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+            for r in range(k):
+                for c in range(k, 3):
+                    rows[r][c] = Fraction(0)
+            seeds.append(Matrix(QQ, rows))
+        p = rand_invertible(rng, 3)
+        pinv = p.inverse()
+        lin = LinearMatrix([I3] + [pinv * s * p for s in seeds])
+        big_p, big_q, factors, flags = linmat._split(lin, p, k, linmat._factor_small,
+                                                     linmat._factor_small)
+        assert verify_cert(FactorizationCert(big_p, big_q, factors, flags), lin)
+        side = big_p * pinv if k == 1 else p * big_q
+        if True in flags and side != I3:
+            moved.add(k)
+    assert moved == {1, 2}
+
+
+# sha256 of the joined outputs below, recorded before the block-split
+# assembly of `factor_3x3` and `zdiv_to_factorization` was shared.
+LINMAT_OUTPUT_SHA256 = "d76dedbc31820482a06237220d17565af8241208e167f960c1acd5486bad8640"
+
+
+def test_linmat_outputs_are_pinned():
+    """Certificates are part of the CLI output: 40 reducible inputs, 10
+    Q-irreducible companions and 12 split quaternions, byte for byte."""
+    rng = random.Random(808)
+    out = []
+    for _ in range(40):
+        # the inputs of acceptance 8: identity constant term
+        cert = factor_3x3(LinearMatrix([I3] + list(_reducible_3x3(rng).mats[1:])))
+        assert isinstance(cert, FactorizationCert)
+        out.append(cert.to_text())
+    companions = 0
+    while companions < 10:
+        a0, a1, a2 = rng.choice((-5, -3, -2, 2, 3, 5)), rng.randint(-4, 4), rng.randint(-4, 4)
+        companion = Matrix.from_ints(QQ, [[0, 0, -a0], [1, 0, -a1], [0, 1, -a2]])
+        if rational_roots(companion.charpoly()):
+            continue
+        res = factor_3x3(LinearMatrix([I3, companion]))
+        out.append("irreducible %s\n" % res.reason)
+        companions += 1
+    while len(out) < 62:
+        # beta = (a0^2 - alpha*a1^2) / a2^2 makes the norm of a0 + a1*u + a2*v vanish
+        alpha = rng.choice([a for a in range(-9, 10) if a])
+        a0, a1, a2 = rng.randint(-4, 4), rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))
+        beta = Fraction(a0 * a0 - alpha * a1 * a1, a2 * a2)
+        if beta:
+            z = Quaternion(alpha, beta, (a0, a1, a2, 0))
+            out.append(zdiv_to_factorization(alpha, beta, z).to_text())
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == LINMAT_OUTPUT_SHA256
 
 
 def test_product_linear():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncfactor.fields import GF2, GF3, QQ
+from ncfactor.fields import GF2, GF3, QQ, PrimeField
 from ncfactor.matrix import Matrix, matvec, rational_roots, upoly_eval
 
 
@@ -36,18 +36,28 @@ def test_charpoly_dimension_cap():
         Matrix.identity(QQ, 9).charpoly()
 
 
+def _assert_cayley_hamilton(m):
+    coeffs = m.charpoly()
+    n = m.nrows
+    assert len(coeffs) == n + 1 and coeffs[-1] == m.field.one
+    acc = Matrix.zeros(m.field, n, n)
+    power = Matrix.identity(m.field, n)
+    for c in coeffs:
+        acc = acc + power.scale(c)
+        power = power * m
+    assert acc.is_zero()
+
+
 def test_cayley_hamilton_on_random_matrices():
     rng = random.Random(11)
     for _ in range(25):
-        n = rng.randint(1, 4)
-        m = rand_matrix(rng, n)
-        coeffs = m.charpoly()
-        acc = Matrix.zeros(QQ, n, n)
-        power = Matrix.identity(QQ, n)
-        for c in coeffs:
-            acc = acc + power.scale(c)
-            power = power * m
-        assert acc.is_zero()
+        _assert_cayley_hamilton(rand_matrix(rng, rng.randint(1, 4)))
+    for field in (GF2, GF3, PrimeField(5)):
+        for n in range(1, 5):
+            for _ in range(4):
+                _assert_cayley_hamilton(Matrix.from_ints(
+                    field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]))
+    _assert_cayley_hamilton(rand_matrix(rng, 8))
 
 
 def test_charpoly_over_prime_field():
