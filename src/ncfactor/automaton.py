@@ -189,10 +189,12 @@ def recover_circuit(c, automaton):
 
 
 def recover_abp(p, automaton):
-    """Block construction: node u becomes (u, q) for every state q; one
+    """Block construction: node u becomes (u, q), numbered u*|Q| + q; one
     extra layer collects (sink, qf) and (sink, q0) with unit edges.  The
     edge from (u, q1) to (v, q2) carries entry (q1, q2) of
     c0*I + cx*M_x + cy*M_y, so q2 ranges over q1, delta(q1, x), delta(q1, y).
+    Only pairs (u, q1) that the source (0, q0) reaches get edges: a
+    layer's live states are read off the nonzero edges written into it.
     """
     nq = automaton.n_states
     field = p.field
@@ -209,26 +211,28 @@ def recover_abp(p, automaton):
     sizes.append(1)
     edges = [dict() for _ in range(len(p.layer_sizes))]
 
+    # live[u]: the states the scan can be in at node u of the current layer
+    live = {0: {q0}}
     for k, block in enumerate(p.edges):
-        first = (k == 0)
+        reached = {}
         for (u, v), label in block.items():
             const = ((), label.coeff(()))
             coeffs = (label.coeff((X,)), label.coeff((Y,)))
-            for q1 in ((q0,) if first else range(nq)):
-                src = 0 if first else u * nq + q1
+            for q1 in live.get(u, ()):
                 entries = {q1: [const]}
                 for q2, letter, word in rows.get(q1, ()):
                     entries.setdefault(q2, []).append((word, coeffs[letter]))
-                for q2 in sorted(entries):
-                    lbl = NcPoly(out_alphabet, field, entries[q2])
-                    if lbl.is_zero():
-                        continue
-                    key = (src, v * nq + q2)
-                    prev = edges[k].get(key)
-                    edges[k][key] = lbl if prev is None else prev + lbl
+                for q2, terms in entries.items():
+                    lbl = NcPoly(out_alphabet, field, terms)
+                    if lbl:
+                        # (u, q1, v, q2) is unique, so each key is written once
+                        edges[k][(u * nq + q1, v * nq + q2)] = lbl
+                        reached.setdefault(v, set()).add(q2)
+        live = reached
     one = NcPoly.one(out_alphabet, field)
-    edges[-1][(0 * nq + qf, 0)] = one
-    edges[-1][(0 * nq + q0, 0)] = one
+    for q in (qf, q0):
+        if q in live.get(0, ()):  # the sink is node 0, so (sink, q) is node q
+            edges[-1][(q, 0)] = one
     return Abp(out_alphabet, field, sizes, edges)
 
 

@@ -65,13 +65,13 @@ def phi_poly(f, embedding):
     if f.alphabet.size > embedding.n:
         raise ValueError("polynomial uses more variables than the embedding provides")
     field = f.field
-    out = NcPoly.zero(embedding.target_alphabet, field)
+    terms = []
     for word, coeff in f.terms.items():
         img = NcPoly.constant(embedding.target_alphabet, field, coeff)
         for letter in word:
             img = img * embedding.image_poly(field, letter)
-        out = out + img
-    return out
+        terms.extend(img.terms.items())
+    return NcPoly(embedding.target_alphabet, field, terms)
 
 
 def phi_circuit(c, embedding):
@@ -130,8 +130,9 @@ def phi_abp(p, embedding):
                         inter[step] += 1
                     else:
                         nxt = v
-                    key = (prev, nxt)
-                    gaps[step][key] = gaps[step].get(key, NcPoly.zero(target, field)) + lbl
+                    # each chain has fresh intermediate nodes (depth >= 2),
+                    # so no two chains share an edge
+                    gaps[step][(prev, nxt)] = lbl
                     prev = nxt
         new_edges.extend(gaps)
         new_sizes.extend(max(s, 1) for s in inter)
@@ -195,21 +196,14 @@ def phi_inverse_poly(g, embedding):
 def naive_substitution(f):
     """The PIT substitution x_i -> x y^i (injective but not
     factorization-preserving)."""
-    target = Alphabet.bivariate()
-    out = {}
-    zero = f.field.zero
+    terms = []
     for word, coeff in f.terms.items():
         image = []
         for letter in word:
             image.append(0)
             image.extend([1] * (letter + 1))
-        w = tuple(image)
-        s = out.get(w, zero) + coeff
-        if s == zero:
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return NcPoly(target, f.field, out)
+        terms.append((image, coeff))
+    return NcPoly(Alphabet.bivariate(), f.field, terms)
 
 
 def _segments(word):

@@ -121,11 +121,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def __call__(self, value, denom=None):
-        if denom is not None:
-            return Fraction(value, denom)
-        return Fraction(value)
-
     def from_int(self, k):
         return Fraction(k)
 
@@ -159,9 +154,6 @@ class PrimeField:
         # shared: a PrimeFieldElement is never mutated after construction
         self.zero = PrimeFieldElement(0, p)
         self.one = PrimeFieldElement(1, p)
-
-    def __call__(self, value):
-        return PrimeFieldElement(value, self.p)
 
     def from_int(self, k):
         return PrimeFieldElement(k, self.p)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
-from ncfactor.matrix import Matrix, matvec, rational_roots
+from ncfactor.matrix import Matrix, rational_roots
 from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, mu_matrix,
                                  mv_matrix)
 
@@ -322,8 +322,7 @@ def common_eigenlines(mats, side="right"):
             kernel = shifted.nullspace()
             if not kernel:
                 continue
-            cols = [matvec(s, k) for k in kernel]
-            rec(Matrix.from_cols(QQ, cols), pick + 1)
+            rec(s * Matrix.from_cols(QQ, kernel), pick + 1)
 
     rec(Matrix.identity(QQ, d), 0)
 
@@ -504,10 +503,11 @@ def _factor_small(L):
         lams = _all_scalar(L.mats[1:])
         if lams is not None:
             return _scalar_family(lams, 2)
-        if _charpoly_witness(L) is None:
-            best = _eigen_split(L)
-            if best is not None:
-                return best
+        # a coefficient without a rational eigenvalue leaves no common
+        # eigenline, so the search then finds nothing
+        best = _eigen_split(L)
+        if best is not None:
+            return best
     return _whole(L)
 
 

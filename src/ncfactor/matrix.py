@@ -90,7 +90,7 @@ class Matrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
+        return Matrix(self.field, [[a + b if b else a for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
@@ -120,7 +120,7 @@ class Matrix:
         return Matrix(self.field, out)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows])
+        return Matrix(self.field, [[c * x if x else x for x in r] for r in self.rows])
 
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)))
@@ -257,19 +257,6 @@ class Matrix:
                 total = total + self.submatrix(idx, idx).det()
             coeffs.append(-total if k % 2 else total)
         return tuple(reversed(coeffs))
-
-
-def _dot(r, c):
-    it = iter(zip(r, c))
-    a, b = next(it)
-    s = a * b
-    for a, b in it:
-        s = s + a * b
-    return s
-
-
-def matvec(m, v):
-    return tuple(_dot(r, v) for r in m.rows)
 
 
 # -- univariate polynomial helpers (coefficient lists, ascending) -----

@@ -8,12 +8,19 @@ position, where a lower letter index wins.  On the bivariate alphabet
 equal degree x beats y — so the order is multiplicative on both sides
 and leading monomials multiply: lm(f*g) = lm(f)lm(g).
 
+Terms are merged in one place, the `NcPoly` constructor: it sums the
+coefficients of equal words and drops zero sums, so `+`, `-`, `*` and
+every caller that builds a polynomial hand it a raw stream of
+(word, coeff) pairs.
+
 Exact division has one core, `_divide`, behind `left_divide` and
 `right_divide`: it keeps the remainder as one mutable {word: coeff}
 dict and subtracts each quotient term times g in place.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from ncfactor import textio
 from ncfactor.errors import FormatError
@@ -120,16 +127,21 @@ class NcPoly:
     def __init__(self, alphabet, field, terms=()):
         self.alphabet = alphabet
         self.field = field
+        # A word that cancels is popped, and re-appended if it comes back.
+        zero = field.zero
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
-            word = tuple(word)
-            if coeff == field.zero:
+            if coeff == zero:
                 continue
+            word = tuple(word)
             acc = data.get(word)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff == field.zero:
-                data.pop(word, None)
+            if acc is None:
+                data[word] = coeff
+                continue
+            coeff = acc + coeff
+            if coeff == zero:
+                del data[word]
             else:
                 data[word] = coeff
         self.terms = data
@@ -198,37 +210,24 @@ class NcPoly:
 
     def __add__(self, other):
         self._compatible(other)
-        out = dict(self.terms)
-        zero = self.field.zero
-        for w, c in other.terms.items():
-            s = out.get(w, zero) + c
-            if s == zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NcPoly(self.alphabet, self.field, out)
+        return NcPoly(self.alphabet, self.field,
+                      chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return NcPoly(self.alphabet, self.field,
                       {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._compatible(other)
+        return NcPoly(self.alphabet, self.field,
+                      chain(self.terms.items(), ((w, -c) for w, c in other.terms.items())))
 
     def __mul__(self, other):
         """Convolution product: words concatenate, coefficients multiply."""
         self._compatible(other)
-        zero = self.field.zero
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, zero) + c1 * c2
-                if s == zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return NcPoly(self.alphabet, self.field, out)
+        return NcPoly(self.alphabet, self.field,
+                      [(w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+                       for w2, c2 in other.terms.items()])
 
     def scale(self, c):
         if c == self.field.zero:

@@ -187,6 +187,15 @@ def test_recover_abp_examples():
     assert recover_abp(two, a).expand() == NcPoly.variable(Alphabet.nvars(1), QQ, 0)
 
 
+def assert_edges_leave_reachable_nodes(abp):
+    """Every edge starts at a node that the source reaches."""
+    reached = {0}
+    for k, block in enumerate(abp.edges):
+        stray = sorted(u for u, _v in block if u not in reached)
+        assert not stray, "gap %d: edges leave unreachable nodes %s" % (k, stray)
+        reached = {v for _u, v in block}
+
+
 def test_recover_abp_round_trip():
     rng = random.Random(63)
     ab2 = Alphabet.nvars(2)
@@ -201,6 +210,7 @@ def test_recover_abp_round_trip():
         f = p.expand()
         back = recover_abp(phi_abp(p, e), a)
         assert back.expand() == f
+        assert_edges_leave_reachable_nodes(back)
 
 
 def test_recover_abp_three_word_lengths():
@@ -237,7 +247,9 @@ def test_recover_abp_paper_mode(n):
                                     {(0, 0): lbl(), (0, 1): lbl(), (1, 1): lbl()},
                                     {(0, 0): lbl(), (1, 0): lbl()}])
     f = p.expand()
-    assert recover_abp(phi_abp(p, e), a).expand() == f
+    back = recover_abp(phi_abp(p, e), a)
+    assert back.expand() == f
+    assert_edges_leave_reachable_nodes(back)
 
 
 def phi_poly_oracle(f, e):

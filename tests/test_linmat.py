@@ -11,7 +11,7 @@ from ncfactor.linmat import (FactorizationCert, Irreducible, LinearMatrix,
                              factorization_to_zdiv, is_monic, product_linear,
                              quaternion_linmat, verify_cert,
                              zdiv_to_factorization)
-from ncfactor.matrix import Matrix, matvec, rational_roots
+from ncfactor.matrix import Matrix, rational_roots
 from ncfactor.ncpoly import Alphabet, NcPoly
 from ncfactor.quaternion import Quaternion, hmul, is_zero_divisor
 
@@ -108,7 +108,7 @@ def test_common_eigenvector_verifies_all_matrices():
             mats.append(pinv * diag * p)
         w, lams = common_eigenlines(mats, side="right")[0]
         for m, lam in zip(mats, lams):
-            assert matvec(m, w) == tuple(lam * x for x in w)
+            assert (m * Matrix.from_cols(QQ, [w])).col(0) == tuple(lam * x for x in w)
 
 
 def test_factor_3x3_scalar_family():

@@ -175,6 +175,63 @@ def test_division_by_zero_names_its_side():
         right_divide(biv("xy"), NcPoly.zero(AB, QQ))
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["Q", "F2", "F3", "F5"])
+def test_arithmetic_against_dict_reference(field):
+    """+, - and * against a plain-dict model on inputs built to cancel:
+    repeated words passed to the constructor, words that cancel and then
+    come back, a - a, and b holding the negation of some terms of a.
+    Coefficients are drawn as ints; the model keeps ints (mod p)."""
+    p = 0 if field is QQ else field.p
+    ab = Alphabet.nvars(2)
+
+    def model(pairs):
+        out = {}
+        for w, k in pairs:
+            out[w] = out.get(w, 0) + k
+        out = {w: k % p if p else k for w, k in out.items()}
+        return {w: k for w, k in out.items() if k}
+
+    def plain(f):
+        assert all(c != field.zero for c in f.terms.values()), "a zero coefficient is stored"
+        return {w: c.value if p else c for w, c in f.terms.items()}
+
+    def build(pairs):
+        return NcPoly(ab, field, [(w, field.from_int(k)) for w, k in pairs])
+
+    def draw(rng):
+        pairs = []
+        for _ in range(rng.randint(0, 6)):
+            w = tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+            k = rng.randint(-4, 4)
+            pairs.append((w, k))
+            if rng.random() < 0.5:
+                pairs.append((w, -k))
+                if rng.random() < 0.5:
+                    pairs.append((w, rng.randint(-4, 4)))
+        return pairs
+
+    rng = random.Random(50 + p)
+    for _ in range(80):
+        a_pairs = draw(rng)
+        a = build(a_pairs)
+        assert plain(a) == model(a_pairs)
+        b_pairs = draw(rng) + [(w, -k) for w, k in model(a_pairs).items()
+                               if rng.random() < 0.5]
+        b = build(b_pairs)
+        ma, mb = list(model(a_pairs).items()), list(model(b_pairs).items())
+        assert plain(a + b) == model(ma + mb)
+        assert plain(a - b) == model(ma + [(w, -k) for w, k in mb])
+        assert plain(a * b) == model([(w1 + w2, k1 * k2) for w1, k1 in ma for w2, k2 in mb])
+        assert plain(a - a) == {} and (a - a).is_zero()
+        assert plain(a + b - b) == plain(a)
+
+    # a word that cancels is dropped, and stored again after the others
+    # when it comes back
+    x, y = (0,), (1,)
+    f = build([(x, 1), (y, 1), (x, -1), (x, 1)])
+    assert list(f.terms) == [y, x] and plain(f) == model([(y, 1), (x, 1)])
+
+
 def test_support_and_leading_monomial_follow_word_key():
     rng = random.Random(40)
     for _ in range(30):
