@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 
 from ncfactor.automaton import (OUT_ONE, OUT_ZERO, _moves, build_automaton, recover_abp,
                                 recover_blackbox, recover_circuit, reduce_and_recover)
-from ncfactor.circuits import Abp, MatrixAssignment, circuit_from_poly
+from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
 from ncfactor.fields import GF2, QQ
@@ -173,6 +174,49 @@ def test_recover_grid_size_bound():
         c = phi_circuit(circuit_from_poly(f), e)
         r = recover_circuit(c, a)
         assert r.size <= 4 * c.size * a.n_states ** 3
+
+
+def random_formula(rng, nvars, leaves):
+    """Q circuit: a random bracketing of `leaves` variables joined by MUL,
+    or by ADD with a small constant weight, plus a nonzero constant term."""
+    small = (-3, -2, -1, 1, 2, 3)
+    b = CircuitBuilder(Alphabet.nvars(nvars), QQ)
+    nodes = [b.var(rng.randrange(nvars)) for _ in range(leaves)]
+    while len(nodes) > 1:
+        i = rng.randrange(len(nodes) - 1)
+        left, right = nodes[i], nodes[i + 1]
+        if rng.random() < 0.6:
+            gate = b.mul(left, right)
+        else:
+            gate = b.add(left, b.mul(b.const(QQ.from_int(rng.choice(small))), right))
+        nodes[i:i + 2] = [gate]
+    return b.build(b.add(nodes[0], b.const(QQ.from_int(rng.choice(small)))))
+
+
+# sha256 of the recovered circuits' text, recorded before recovery
+# switched to the row-q0 demand pass; the gates and their order must not move
+RECOVER_PINS = {
+    (4, "compact"): "2c8eb4dc6c84decdbf17a0166f6fa0250058b9aa31f521ca3eb85baa3d538265",
+    (4, "paper"): "de892817c8f738612cfe962e51c1811e19be07f0e9637553efe50f367fc8012e",
+    (16, "compact"): "1f25ff029144589d5da4845a9d8ce7ebacf750bd198e331eaac4bb830f15c2d4",
+    (16, "paper"): "00dba3c36f2f958408de2c0947b140bd743fce44974a85490e0c5b4ff9566149",
+    (64, "compact"): "e5502f211768b64d4887676cb64d2f991de512133f61c6c636c60c855c16c677",
+    (64, "paper"): "75b6a7e11477ffcd91687178c2a80f5ff046707d460b692fd0893ceb24d41421",
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(RECOVER_PINS))
+def test_recover_circuit_output_is_pinned(n, mode):
+    rng = random.Random(1000 * n + (mode == "paper"))
+    e = Embedding.for_variables(n, mode)
+    a = build_automaton(e.wordset)
+    digest = hashlib.sha256()
+    for leaves in (6, 9, 12):
+        c = random_formula(rng, n, leaves)
+        back = recover_circuit(phi_circuit(c, e), a)
+        assert back.expand() == c.expand()
+        digest.update(back.to_text().encode())
+    assert digest.hexdigest() == RECOVER_PINS[(n, mode)]
 
 
 def test_recover_abp_examples():

@@ -21,6 +21,10 @@ CASES = [
     ("embed_circuit.txt", ["embed", str(INPUTS / "f.ncc")]),
     ("recover_circuit.txt", ["recover", str(GOLDEN / "embed_circuit.txt"),
                              "--nvars", "2"]),
+    ("embed_circuit_paper.txt", ["embed", str(INPUTS / "f.ncc"), "--mode", "paper",
+                                 "--nvars", "8"]),
+    ("recover_circuit_paper.txt", ["recover", str(GOLDEN / "embed_circuit_paper.txt"),
+                                   "--nvars", "8", "--mode", "paper"]),
     ("reduce_f2.txt", ["reduce", str(INPUTS / "f2.poly")]),
     ("factor_dense_xyx.txt", ["factor-dense", str(INPUTS / "xyx.poly")]),
     ("eval_circuit.txt", ["eval", str(INPUTS / "f.ncc"), "--dim", "2",
