@@ -11,11 +11,19 @@ g'(M_x, M_y) is the nonconstant part of the preimage g, and entry
 (q0, q0) holds the constant term (q0 has no incoming transitions).
 M_x and M_y are not stored: each row has at most one nonzero entry, and
 the recovery routines read those entries straight from `delta`.
+
+Only row q0 of g'(M_x, M_y) is read, so recovery follows the scan from
+q0 and never touches the rest: `recover_circuit` first finds the rows of
+each gate's matrix that row q0 of the output depends on, then builds
+only those, at a cost of O(gates x rows reached) instead of
+O(gates x |Q|); `recover_abp` writes edges only from the (node, state)
+pairs the source reaches.
 """
 
 from __future__ import annotations
 
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
+from ncfactor.errors import SoundnessError
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, X, Y
 
@@ -88,7 +96,8 @@ def build_automaton(wordset):
                 children[key] = next_state
                 next_state += 1
             node = children[key]
-        assert node not in accept, "duplicate middles cannot happen"
+        if node in accept:
+            raise SoundnessError("words %d and %d share a middle" % (accept[node], i))
         accept[node] = i
 
     # states: q0 = 0, trie = 1..next_state-1, then qf, qr
@@ -102,7 +111,9 @@ def build_automaton(wordset):
         for letter in (X, Y):
             child = children.get((node, letter))
             if letter == Y and node in accept:
-                assert child is None, "y-continuation past an accept point"
+                if child is not None:
+                    raise SoundnessError("a word continues with y past the end of "
+                                         "word %d" % accept[node])
                 delta[(node, letter)] = (qf, ("var", accept[node]))
             elif child is not None:
                 delta[(node, letter)] = (child, OUT_ONE)
@@ -123,21 +134,82 @@ def _moves(automaton, letter):
             if a == letter and out != OUT_ZERO]
 
 
+def _demand(c, automaton, moves):
+    """Demand pass: the rows of each gate's grid that row q0 of the output
+    reads, as need[gate] = set of rows.
+
+    Row i of a VAR grid reaches one `delta` successor, row i of a CONST
+    grid its own column; ADD reads both operands at row i; MUL reads its
+    left operand at row i and its right operand at every column k that
+    the left's row i reaches.  Each (gate, row) is resolved once, on an
+    explicit stack, so shared gates are not re-walked and deep circuits
+    do not recurse.  cols[(gate, row)] holds the columns the row reaches.
+    """
+    succ = tuple({i: j for i, j, _out in m} for m in moves)
+    zero = c.field.zero
+    cols = {}
+    stack = [(c.output, automaton.q0)]
+    while stack:
+        key = stack[-1]
+        if key in cols:
+            stack.pop()
+            continue
+        g, i = key
+        gate = c.gates[g]
+        kind = gate[0]
+        if kind == "var":
+            j = succ[gate[1]].get(i)
+            cols[key] = set() if j is None else {j}
+        elif kind == "const":
+            cols[key] = {i} if gate[1] != zero else set()
+        else:
+            ka = (gate[1], i)
+            if ka not in cols:
+                stack.append(ka)
+                continue
+            kbs = [(gate[2], i)] if kind == "add" else [(gate[2], k) for k in cols[ka]]
+            missing = [kb for kb in kbs if kb not in cols]
+            if missing:
+                stack.extend(missing)
+                continue
+            reached = set(cols[ka]) if kind == "add" else set()
+            for kb in kbs:
+                reached |= cols[kb]
+            cols[key] = reached
+        stack.pop()
+    need = [set() for _ in c.gates]
+    for g, i in cols:
+        need[g].add(i)
+    return need
+
+
 def recover_circuit(c, automaton):
-    """Symbolic matrix evaluation of a bivariate circuit at (M_x, M_y).
+    """Symbolic matrix evaluation of a bivariate circuit at (M_x, M_y),
+    restricted to the rows that the output reads.
 
     Each gate becomes a sparse grid of gates over x_1..x_n indexed by
     state pairs; the output is entry (q0, qf) plus the constant-carrying
-    entry (q0, q0).  Grid entries that are structurally zero are never
+    entry (q0, q0), so only row q0 of the output grid is read.  A demand
+    pass (`_demand`) finds the rows of every gate's grid that row needs;
+    the build pass then walks the gates in topological order and fills
+    only those rows.  Cost: O(gates x rows reached) grid rows instead of
+    O(gates x |Q|).
+
+    The build makes a subsequence of the gates that a full |Q|-row build
+    would make, in the same order: rows are filled in the operands' grid
+    order, the first VAR gate of a letter creates all of that letter's
+    output VAR gates in `delta` order, and every nonzero CONST gate
+    creates its constant.  Structurally zero entries are never
     materialized, and the result is pruned to gates reachable from the
     output.
     """
-    nq = automaton.n_states
     field = c.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     b = CircuitBuilder(out_alphabet, field)
     one_gate = b.const(field.one)
     moves = (_moves(automaton, X), _moves(automaton, Y))
+    need = _demand(c, automaton, moves)
+    var_rows = [None, None]  # per letter: row -> ((row, col), gate)
 
     def mul_gates(g1, g2):
         if g1 == one_gate:
@@ -147,29 +219,37 @@ def recover_circuit(c, automaton):
         return b.mul(g1, g2)
 
     grids = []
-    for g in c.gates:
+    for g, rows in zip(c.gates, need):
         kind = g[0]
         if kind == "var":
-            grid = {(i, j): one_gate if out == OUT_ONE else b.var(out[1])
-                    for i, j, out in moves[g[1]]}
+            if var_rows[g[1]] is None:
+                var_rows[g[1]] = {i: ((i, j), one_gate if out == OUT_ONE else b.var(out[1]))
+                                  for i, j, out in moves[g[1]]}
+            entries = var_rows[g[1]]
+            grid = dict(entries[i] for i in sorted(rows) if i in entries)
         elif kind == "const":
             grid = {}
             if g[1] != field.zero:
                 cg = b.const(g[1])
-                grid = {(i, i): cg for i in range(nq)}
+                grid = {(i, i): cg for i in sorted(rows)}
+        elif not rows:  # an ADD or MUL gate that the output never reads
+            grid = {}
         elif kind == "add":
             a, bb_ = grids[g[1]], grids[g[2]]
-            grid = dict(a)
+            grid = {key: gate for key, gate in a.items() if key[0] in rows}
             for key, gate in bb_.items():
-                grid[key] = b.add(grid[key], gate) if key in grid else gate
-        else:  # mul: sparse grid product
+                if key[0] in rows:
+                    grid[key] = b.add(grid[key], gate) if key in grid else gate
+        else:  # mul: sparse grid product over the needed rows of the left
             a, bb_ = grids[g[1]], grids[g[2]]
-            rows = {}
+            by_row = {}
             for (k, j), gate in bb_.items():
-                rows.setdefault(k, []).append((j, gate))
+                by_row.setdefault(k, []).append((j, gate))
             grid = {}
             for (i, k), ga in a.items():
-                for j, gb in rows.get(k, ()):
+                if i not in rows:
+                    continue
+                for j, gb in by_row.get(k, ()):
                     prod = mul_gates(ga, gb)
                     key = (i, j)
                     grid[key] = b.add(grid[key], prod) if key in grid else prod

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from math import comb
 
+from ncfactor.errors import BudgetExceededError, SoundnessError
 from ncfactor.ncpoly import X, Y
+
+# The largest word set `enumerate_words` builds.  Every embedding, and so
+# every `words`, `embed` and `recover` call, enumerates its word set first;
+# a larger request is refused before any word is built.  The benchmark's
+# largest op asks for 600 words; at this limit a paper-mode `recover` of a
+# small circuit takes about 10 s and 0.5 GB.
+WORDS_MAX = 10 ** 5
 
 
 def catalan(k):
@@ -121,10 +129,13 @@ def enumerate_words(n, mode="compact"):
 
     compact: the n shortest minimally balanced words, shortest first and
     ascending within a length.  paper: the first n words xx*d*yy of the
-    single length 2*l with l = max(ceil(log2(4n)), 7), ascending.
+    single length 2*l with l = max(ceil(log2(4n)), 7), ascending.  More
+    than WORDS_MAX words raise BudgetExceededError.
     """
     if n < 1:
         raise ValueError("need at least one word")
+    if n > WORDS_MAX:
+        raise BudgetExceededError("word set of %d words, limit %d" % (n, WORDS_MAX))
     if mode == "compact":
         words = []
         length = 2
@@ -137,7 +148,8 @@ def enumerate_words(n, mode="compact"):
         return WordSet(words, "compact")
     if mode == "paper":
         ell = max((4 * n - 1).bit_length(), 7)
-        assert n <= catalan(ell - 2), "length bound leaves too few words"
+        if n > catalan(ell - 2):
+            raise SoundnessError("length %d leaves too few words for n=%d" % (2 * ell, n))
         words = []
         for w in paper_family_words(2 * ell):
             words.append(w)

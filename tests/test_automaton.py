@@ -1,12 +1,13 @@
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
 
 from ncfactor.automaton import (OUT_ONE, OUT_ZERO, _moves, build_automaton, recover_abp,
                                 recover_blackbox, recover_circuit, reduce_and_recover)
-from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment, circuit_from_poly
+from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
 from ncfactor.fields import GF2, QQ
@@ -193,20 +194,62 @@ def random_formula(rng, nvars, leaves):
     return b.build(b.add(nodes[0], b.const(QQ.from_int(rng.choice(small)))))
 
 
-# sha256 of the recovered circuits' text, recorded before recovery
-# switched to the row-q0 demand pass; the gates and their order must not move
+def raw_sum(rng, wordset, nterms):
+    """Bivariate circuit: a weighted sum of products whose leaves spell one
+    to three embedding words, now and then mirrored (which kills the
+    term).  Every leaf and weight is a gate of its own, so VAR and CONST
+    gates repeat, and a weight right of a killed term is never read."""
+    small = (-3, -2, -1, 0, 1, 2, 3)
+    gates = []
+
+    def gate(*g):
+        gates.append(g)
+        return len(gates) - 1
+
+    acc = None
+    for _ in range(nterms):
+        nodes = []
+        for _ in range(rng.randint(1, 3)):
+            word = rng.choice(wordset.words)
+            if rng.random() < 0.2:
+                word = tuple(1 - a for a in word)
+            nodes.extend(gate("var", a) for a in word)
+        while len(nodes) > 1:
+            i = rng.randrange(len(nodes) - 1)
+            nodes[i:i + 2] = [gate("mul", nodes[i], nodes[i + 1])]
+        weight = gate("const", QQ.from_int(rng.choice(small)))
+        term = gate("mul", weight, nodes[0]) if rng.random() < 0.5 else gate("mul", nodes[0], weight)
+        acc = term if acc is None else gate("add", acc, term)
+    gate("add", acc, gate("const", QQ.from_int(rng.choice(small))))
+    return Circuit(AB, QQ, gates, len(gates) - 1)
+
+
+def parsed_part(g, e):
+    """The terms of g whose words are concatenations of embedding words,
+    rewritten over x_1..x_n: what the automaton reads off g."""
+    from ncfactor.embedding import parse_into_words
+
+    terms = [(parse_into_words(word, e.wordset), c) for word, c in g.terms.items()]
+    return NcPoly(Alphabet.nvars(e.n), g.field, [t for t in terms if t[0] is not None])
+
+
+# sha256 of the recovered circuits' text, recorded with the full |Q|-row
+# grid build; building only the rows the output reads must not move a gate
 RECOVER_PINS = {
-    (4, "compact"): "2c8eb4dc6c84decdbf17a0166f6fa0250058b9aa31f521ca3eb85baa3d538265",
-    (4, "paper"): "de892817c8f738612cfe962e51c1811e19be07f0e9637553efe50f367fc8012e",
-    (16, "compact"): "1f25ff029144589d5da4845a9d8ce7ebacf750bd198e331eaac4bb830f15c2d4",
-    (16, "paper"): "00dba3c36f2f958408de2c0947b140bd743fce44974a85490e0c5b4ff9566149",
-    (64, "compact"): "e5502f211768b64d4887676cb64d2f991de512133f61c6c636c60c855c16c677",
-    (64, "paper"): "75b6a7e11477ffcd91687178c2a80f5ff046707d460b692fd0893ceb24d41421",
+    (4, "compact"): "1f500ae0a2e138f6a635b361a05983e5b164763d22063261ef0d517676f5f447",
+    (4, "paper"): "ce86c421dc5aa5811d03b1d446461cc9d0b0929cd7f40a01e0ab1180de94fb44",
+    (16, "compact"): "66f87e0d8744f72d9d71fdc9c2382ce054a50011a69c9ed215715d3c759d04c1",
+    (16, "paper"): "3333da7e629f6108ecd8fb782b84304dd9e932738cde961cd93f7629c5d46d27",
+    (64, "compact"): "cc7feb067f129e5ddbce046f7d8b229bb832acc6aec64a6e9e09b62f72982955",
+    (64, "paper"): "b5dbaf838152505ce0d7392b2a12ed26b9fccdb92727a0402c6e270f561879bd",
 }
 
 
 @pytest.mark.parametrize("n,mode", sorted(RECOVER_PINS))
 def test_recover_circuit_output_is_pinned(n, mode):
+    """Embedded formulas, and raw sums: only in circuits whose VAR and
+    CONST gates repeat does the order in which recovery creates the
+    output's VAR and CONST gates show in the text."""
     rng = random.Random(1000 * n + (mode == "paper"))
     e = Embedding.for_variables(n, mode)
     a = build_automaton(e.wordset)
@@ -216,7 +259,43 @@ def test_recover_circuit_output_is_pinned(n, mode):
         back = recover_circuit(phi_circuit(c, e), a)
         assert back.expand() == c.expand()
         digest.update(back.to_text().encode())
+    for nterms in (3, 5, 8):
+        c = raw_sum(rng, e.wordset, nterms)
+        back = recover_circuit(c, a)
+        assert back.expand() == parsed_part(c.expand(), e)
+        digest.update(back.to_text().encode())
     assert digest.hexdigest() == RECOVER_PINS[(n, mode)]
+
+
+def recovers_at_a_point(c, mode):
+    """Embed c, recover it, and compare both at a seeded 2x2 point."""
+    e = Embedding.for_variables(c.alphabet.size, mode)
+    back = recover_circuit(phi_circuit(c, e), build_automaton(e.wordset))
+    point = MatrixAssignment.random(c.alphabet, c.field, 2, random.Random(5))
+    assert back.evaluate(point) == c.evaluate(point)
+
+
+def test_recover_circuit_deep_chain():
+    """3000 nested products, alternately on the left and on the right:
+    the demand pass walks them on its own stack, not Python's."""
+    b = CircuitBuilder(Alphabet.nvars(2), QQ)
+    x1, x2 = b.var(0), b.var(1)
+    g = x1
+    for k in range(3000):
+        g = b.mul(g, x2) if k % 2 else b.mul(x1, g)
+    recovers_at_a_point(b.build(g), "paper")
+
+
+def test_recover_circuit_shared_dag():
+    """g = g + g 300 times has 2^300 paths; the demand pass resolves each
+    (gate, row) once, so it visits each gate a few times, not per path."""
+    b = CircuitBuilder(Alphabet.nvars(2), QQ)
+    g = b.add(b.mul(b.var(0), b.var(1)), b.mul(b.const(QQ.from_int(-2)), b.var(1)))
+    for _ in range(300):
+        g = b.add(g, g)
+    start = time.perf_counter()
+    recovers_at_a_point(b.build(b.mul(g, b.var(0))), "paper")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_recover_abp_examples():

@@ -6,11 +6,18 @@ and swapping tokens and lines, and every mutant runs in-process through
 a cheap subcommand.  Whatever the mutant, the exit code must be 0, 1 or
 2, a malformed file must be reported as `error: format:`, and no
 exception may escape `cli.main`.
+
+Sizes that once exhausted memory run as named probes in a child process
+with a capped address space and a timeout; each must end in
+`error: budget:` with exit 2.
 """
 
 import contextlib
 import io
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +114,24 @@ def test_mutants_exit_0_1_or_2(tmp_path, text, args):
         assert code in (0, 1, 2), mutant
         if code == 1:
             assert err.startswith("error: format:"), (err, mutant)
+
+
+MEMORY_CAP = 1536 << 20  # bytes of address space for each probe's process
+HUGE_SIZES = [
+    ("words-n", ["words", "--n", "2000000000"]),
+    ("recover-nvars", ["recover", str(GOLDEN / "embed_circuit.txt"), "--nvars", "100000000"]),
+    ("embed-nvars", ["embed", str(GOLDEN / "inputs" / "f.ncc"), "--nvars", "100000000000"]),
+]
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize("args", [c[1] for c in HUGE_SIZES], ids=[c[0] for c in HUGE_SIZES])
+def test_huge_sizes_end_in_a_budget_error(args):
+    proc = subprocess.run([sys.executable, "-m", "ncfactor.cli", *args], capture_output=True,
+                          text=True, timeout=60, preexec_fn=_cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: budget:"), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from ncfactor import cli, factoring, linmat
+from ncfactor import cli, factoring, linmat, words
+from ncfactor.automaton import build_automaton
 from ncfactor.errors import SoundnessError
 from ncfactor.factoring import complete_factorizations, left_factors
 from ncfactor.fields import GF2, QQ
 from ncfactor.linmat import LinearMatrix, factor_3x3
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly
+from ncfactor.words import WordSet, enumerate_words
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +79,22 @@ def test_cli_reports_oracle_soundness_error_with_exit_2(monkeypatch, tmp_path, c
     assert capsys.readouterr().err.startswith("error: soundness:")
 
 
+def test_automaton_guards_raise_soundness_error(monkeypatch):
+    """Word sets that no enumeration produces break the automaton's
+    invariants: the checks must name them, not build a wrong automaton."""
+    bi = Alphabet.bivariate()
+    monkeypatch.setattr(words, "is_minimally_balanced", lambda word: True)
+    shared_middle = WordSet([bi.word_from_str("xxyy"), bi.word_from_str("yxyx")], "compact")
+    with pytest.raises(SoundnessError):
+        build_automaton(shared_middle)
+    y_past_accept = WordSet([bi.word_from_str("xy"), bi.word_from_str("xyxy")], "compact")
+    with pytest.raises(SoundnessError):
+        build_automaton(y_past_accept)
+    monkeypatch.setattr(words, "catalan", lambda k: 0)
+    with pytest.raises(SoundnessError):
+        enumerate_words(1, "paper")
+
+
 def test_answer_checks_survive_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -88,7 +106,8 @@ def test_answer_checks_survive_python_O():
          "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2",
          "tests/test_soundness.py::test_oracle_left_factor_check_raises_soundness_error",
          "tests/test_soundness.py::test_oracle_multiply_back_raises_soundness_error",
-         "tests/test_soundness.py::test_cli_reports_oracle_soundness_error_with_exit_2"],
+         "tests/test_soundness.py::test_cli_reports_oracle_soundness_error_with_exit_2",
+         "tests/test_soundness.py::test_automaton_guards_raise_soundness_error"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7 passed" in proc.stdout
+    assert "8 passed" in proc.stdout

@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+from ncfactor import words
+from ncfactor.errors import BudgetExceededError
 from ncfactor.ncpoly import Alphabet, word_key
 from ncfactor.words import (WordSet, catalan, dyck_words, enumerate_words,
                             is_minimally_balanced, minimally_balanced_up_to,
@@ -138,3 +140,11 @@ def test_minimally_balanced_up_to():
     words = minimally_balanced_up_to(6)
     assert words == brute_minimally_balanced(2) + brute_minimally_balanced(4) + \
         brute_minimally_balanced(6)
+
+
+@pytest.mark.parametrize("mode", ["compact", "paper"])
+def test_enumerate_words_refuses_more_than_the_limit(monkeypatch, mode):
+    monkeypatch.setattr(words, "WORDS_MAX", 5)
+    assert len(enumerate_words(5, mode)) == 5
+    with pytest.raises(BudgetExceededError):
+        enumerate_words(6, mode)
