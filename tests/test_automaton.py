@@ -247,9 +247,9 @@ RECOVER_PINS = {
 
 @pytest.mark.parametrize("n,mode", sorted(RECOVER_PINS))
 def test_recover_circuit_output_is_pinned(n, mode):
-    """Embedded formulas, and raw sums: only in circuits whose VAR and
-    CONST gates repeat does the order in which recovery creates the
-    output's VAR and CONST gates show in the text."""
+    """Embedded formulas and raw sums.  Only the raw sums show in the text
+    the order in which recovery creates the output's VAR and CONST gates:
+    their VAR and CONST gates repeat between gates that make products."""
     rng = random.Random(1000 * n + (mode == "paper"))
     e = Embedding.for_variables(n, mode)
     a = build_automaton(e.wordset)
