@@ -41,7 +41,12 @@ class MatrixAssignment:
 
     @classmethod
     def random(cls, alphabet, field, dim, rng):
-        """Seeded sample: entries from {-3..3} over Q, uniform over F_p."""
+        """Seeded sample: entries from {-3..3} over Q, uniform over F_p;
+        refused when one product would pass EXPAND_BUDGET multiplications."""
+        if dim ** 3 > EXPAND_BUDGET:
+            raise BudgetExceededError(
+                "a %d x %d matrix product needs %d scalar multiplications, limit %d"
+                % (dim, dim, dim ** 3, EXPAND_BUDGET))
         if isinstance(field, RationalField):
             draw = lambda: field.from_int(rng.randint(-3, 3))
         else:
@@ -251,7 +256,6 @@ class Circuit:
     def _from_lines(cls, head, lines):
         field = parse_field(head["field"])
         alphabet = Alphabet.parse_spec(head["alphabet"])
-        var_index = {name: i for i, name in enumerate(alphabet.names)}
         gates = []
         output = None
         for ln in lines:
@@ -264,7 +268,7 @@ class Circuit:
             parts = rhs.split()
             op = parts[0]
             if op == "VAR":
-                gates.append(("var", var_index[parts[1]]))
+                gates.append(("var", alphabet.index(parts[1])))
             elif op == "CONST":
                 gates.append(("const", field.parse(parts[1])))
             elif op in ("ADD", "MUL"):
@@ -472,15 +476,9 @@ class Abp:
 
 def affine_to_str(label):
     """Canonical affine syntax: c0 + c1*x + c2*y with zero terms omitted."""
-    field = label.field
-    parts = []
-    c0 = label.coeff(())
-    if c0 != field.zero:
-        parts.append(field.format(c0))
-    for i, name in enumerate(label.alphabet.names):
-        c = label.coeff((i,))
-        if c != field.zero:
-            parts.append("%s*%s" % (field.format(c), name))
+    fmt, names = label.field.format, label.alphabet.names
+    parts = ["%s*%s" % (fmt(c), names[w[0]]) if w else fmt(c)
+             for w, c in sorted(label.terms.items())]
     return " + ".join(parts) if parts else "0"
 
 
@@ -489,12 +487,11 @@ def affine_from_str(text, alphabet, field):
     text = text.strip()
     if text == "0":
         return poly
-    index = {name: i for i, name in enumerate(alphabet.names)}
     terms = []
     for tok in text.split(" + "):
         if "*" in tok:
             coeff, name = tok.split("*", 1)
-            terms.append(((index[name],), field.parse(coeff)))
+            terms.append(((alphabet.index(name),), field.parse(coeff)))
         else:
             terms.append(((), field.parse(tok)))
     return NcPoly(alphabet, field, terms)

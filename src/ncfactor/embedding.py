@@ -96,7 +96,6 @@ def phi_abp(p, embedding):
     field = p.field
     target = embedding.target_alphabet
     depth = embedding.wordset.max_length()
-    zero = field.zero
 
     new_sizes = []
     new_edges = []
@@ -106,15 +105,11 @@ def phi_abp(p, embedding):
         gaps = [dict() for _ in range(depth)]
         for (u, v), label in sorted(block.items()):
             chains = []
-            c0 = label.coeff(())
-            if c0 != zero:
-                chains.append((c0, ()))
-            for i in range(embedding.n):
-                ci = label.coeff((i,))
-                if ci != zero:
-                    w = embedding.word(i)
-                    chains.append((ci, w))
-                    chains.append((ci, bar(w)))
+            for w, c in sorted(label.terms.items()):
+                word = embedding.word(w[0]) if w else ()
+                chains.append((c, word))
+                if w:
+                    chains.append((c, bar(word)))
             for coeff, word in chains:
                 letters = list(word) + [None] * (depth - len(word))
                 prev = u

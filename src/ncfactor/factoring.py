@@ -8,6 +8,9 @@ over words in descending length, and g itself comes back by right
 division.  Enumerating the |F_p|^k prefix assignments is therefore a
 complete search, at a tiny fraction of the cost of enumerating all of g.
 
+Complete factorizations are the maximal chains of f's own monic left
+factors, so f is searched once per degree and every factor is a quotient.
+
 Soundness is re-checked by exact multiplication on every factor found;
 a failed check raises SoundnessError, also under `python -O`.
 
@@ -16,7 +19,8 @@ p^k * (number of words of length <= deg f - k) recurrence steps.  One
 `left_factors` call raises BudgetExceededError when its own cost passes
 the budget; `is_irreducible` and `complete_factorizations` charge every
 search they make against one counter, so a single call of either is
-bounded as a whole.
+bounded as a whole; for `complete_factorizations` these are only the
+searches on f.
 """
 
 from __future__ import annotations
@@ -176,12 +180,15 @@ def is_irreducible(f, budget=DEFAULT_BUDGET):
 def complete_factorizations(f, budget=DEFAULT_BUDGET):
     """Every complete factorization of f, deduplicated and in canonical order.
 
-    Recursion: a complete factorization is an irreducible monic left
-    factor followed by a complete factorization of the cofactor.  The
-    minimal-degree left factor is always irreducible, so 'no proper left
-    factor' certifies irreducibility.  The budget bounds the recurrence
-    steps of every left-factor search of the call together, so the whole
-    search ends in bounded time; a search that would pass it raises
+    Factor lattice: the complete factorizations of the monic fm are the
+    maximal chains 1 | m_1 | ... | fm of fm's own monic left factors, the
+    factors being the quotients of consecutive links.  The nodes are 1,
+    `left_factors(fm, k)` for k = 1..deg-1, and fm; a step a | b is a link
+    when no node lies strictly between, and then its quotient q is
+    irreducible, since a proper left factor q1 of q would make a*q1 a left
+    factor of fm in between.  So only fm is searched, and every other
+    polynomial is reached by division.  The budget bounds the recurrence
+    steps of those searches together; a search that would pass it raises
     BudgetExceededError, naming the steps used against the limit.
     """
     _check_field(f)
@@ -190,43 +197,28 @@ def complete_factorizations(f, budget=DEFAULT_BUDGET):
     field = f.field
     lc, fm = f.monic()
     search = _metered(budget)
-    memo = {}
-
-    def rec(g):
-        key = _poly_key(g)
-        if key in memo:
-            return memo[key]
-        if g.degree == 0:
-            memo[key] = {()}
-            return memo[key]
-        out = set()
-        for k in range(1, g.degree):
-            for left in search(g, k):
-                if not irr(left):
-                    continue
-                rest = left_divide(g, left)
-                for tail in rec(rest):
-                    out.add((left,) + tail)
-        if not out:
-            out = {(g,)}
-        memo[key] = out
-        return out
-
-    irr_memo = {}
-
-    def irr(g):
-        key = _poly_key(g)
-        if key not in irr_memo:
-            if g.degree < 1:
-                irr_memo[key] = False
-            else:
-                irr_memo[key] = all(not search(g, k)
-                                    for k in range(1, g.degree))
-        return irr_memo[key]
-
-    raw = rec(fm)
+    nodes = [NcPoly.one(f.alphabet, field)]
+    for k in range(1, fm.degree):
+        nodes.extend(search(fm, k))
+    if fm.degree:
+        nodes.append(fm)
+    # up[i][j] = q with nodes[j] = nodes[i] * q; nodes rise in degree
+    up = [{} for _ in nodes]
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            if nodes[j].degree > a.degree:
+                q = left_divide(nodes[j], a)
+                if q is not None:
+                    up[i][j] = q
+    # tails[i]: the maximal chains from nodes[i] to fm, as quotient tuples
+    tails = [None] * len(nodes)
+    tails[-1] = [()]
+    for i in range(len(nodes) - 2, -1, -1):
+        tails[i] = [(q,) + tail for j, q in up[i].items()
+                    if not any(j in up[m] for m in up[i])
+                    for tail in tails[j]]
     factorizations = []
-    for tail in raw:
+    for tail in tails[0]:
         acc = NcPoly.constant(f.alphabet, field, lc)
         for factor in tail:
             acc = acc * factor

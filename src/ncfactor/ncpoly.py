@@ -35,13 +35,14 @@ Y = 1
 class Alphabet:
     """Ordered set of variable names; words index into it."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "_index")
 
     def __init__(self, names):
         names = tuple(names)
         if not names:
             raise ValueError("empty alphabet")
         self.names = names
+        self._index = None
 
     @classmethod
     def bivariate(cls):
@@ -72,6 +73,12 @@ class Alphabet:
             return cls.nvars(int(text[5:]))
         raise FormatError("bad alphabet spec %r" % text)
 
+    def index(self, name):
+        """The letter of a name (KeyError if unknown), from a map built once."""
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.names)}
+        return self._index[name]
+
     def word_to_str(self, word):
         if not word:
             return "1"
@@ -82,10 +89,8 @@ class Alphabet:
     def word_from_str(self, text):
         if text == "1":
             return ()
-        if self.is_bivariate:
-            return tuple({"x": X, "y": Y}[ch] for ch in text)
-        index = {name: i for i, name in enumerate(self.names)}
-        return tuple(index[tok] for tok in text.split("."))
+        tokens = text if self.is_bivariate else text.split(".")
+        return tuple(self.index(tok) for tok in tokens)
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.names == other.names

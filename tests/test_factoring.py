@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
-from ncfactor.errors import BudgetExceededError
-from ncfactor.factoring import (complete_factorizations, is_irreducible,
+from ncfactor import factoring
+from ncfactor.errors import BudgetExceededError, SoundnessError
+from ncfactor.factoring import (_check_field, _metered, _poly_key,
+                                complete_factorizations, is_irreducible,
                                 left_factors)
 from ncfactor.fields import GF2, GF3, QQ, PrimeField
 from ncfactor.matrix import Matrix
@@ -84,7 +86,8 @@ def _used_and_limit(exc):
 
 def test_complete_factorizations_budget_is_cumulative():
     """x^4 over F2 searches k = 1, 2, 3 at 30, 28 and 24 steps: every
-    search fits a budget of 40, the whole factorization does not."""
+    search fits a budget of 40, the whole factorization does not.  Those
+    three searches are all it makes, so 82 = 30 + 28 + 24 steps suffice."""
     x = NcPoly.variable(AB, GF2, 0)
     f = x * x * x * x
     assert [(s, fs) for s, fs in complete_factorizations(f)] == [(GF2.one, (x, x, x, x))]
@@ -93,6 +96,90 @@ def test_complete_factorizations_budget_is_cumulative():
     with pytest.raises(BudgetExceededError) as exc:
         complete_factorizations(f, budget=40)
     assert _used_and_limit(exc) == (30, 40)
+    assert [(s, fs) for s, fs in complete_factorizations(f, budget=82)] == \
+        [(GF2.one, (x, x, x, x))]
+    with pytest.raises(BudgetExceededError) as exc:
+        complete_factorizations(f, budget=81)
+    assert _used_and_limit(exc) == (58, 81)
+
+
+def test_complete_factorizations_searches_only_the_monic_input(monkeypatch):
+    x = NcPoly.variable(AB, GF3, 0)
+    y = NcPoly.variable(AB, GF3, 1)
+    one = NcPoly.one(AB, GF3)
+    f = ((x + x * y * x) * (y + one)).scale(GF3.from_int(2))
+    calls = []
+
+    def spy(g, k, budget):
+        calls.append((g, k))
+        return left_factors(g, k, budget)
+    monkeypatch.setattr(factoring, "left_factors", spy)
+    tree = complete_factorizations(f)
+    assert len(tree) == 2
+    assert calls == [(f.monic()[1], k) for k in range(1, f.degree)]
+
+
+def _reference_complete_factorizations(f, budget=factoring.DEFAULT_BUDGET):
+    """The recursive oracle the factor lattice replaced: an irreducible
+    left factor, certified by searching it, then a complete factorization
+    of the cofactor, each searched again."""
+    _check_field(f)
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no factorization")
+    lc, fm = f.monic()
+    search = _metered(budget)
+    memo, irr_memo = {}, {}
+
+    def irr(g):
+        key = _poly_key(g)
+        if key not in irr_memo:
+            irr_memo[key] = g.degree >= 1 and all(not search(g, k) for k in range(1, g.degree))
+        return irr_memo[key]
+
+    def rec(g):
+        key = _poly_key(g)
+        if key not in memo:
+            out = set() if g.degree else {()}
+            for k in range(1, g.degree):
+                for left in search(g, k):
+                    if irr(left):
+                        out.update((left,) + tail for tail in rec(left_divide(g, left)))
+            memo[key] = out or {(g,)}
+        return memo[key]
+
+    factorizations = []
+    for tail in rec(fm):
+        acc = NcPoly.constant(f.alphabet, f.field, lc)
+        for factor in tail:
+            acc = acc * factor
+        if acc != f:
+            raise SoundnessError("factorization does not multiply back to f")
+        factorizations.append((lc, tail))
+    factorizations.sort(key=lambda fac: tuple(_poly_key(t) for t in fac[1]))
+    return factorizations
+
+
+def _outcome(oracle, f):
+    try:
+        return [(s, fs) for s, fs in oracle(f)]
+    except Exception as exc:  # the exception type is part of the answer compared
+        return type(exc)
+
+
+def test_lattice_matches_recursive_oracle():
+    rng = random.Random(78)
+    fields = (GF2, GF3, PrimeField(5))
+    several = 0
+    for n in range(120):
+        field = fields[n % 3]
+        ab = Alphabet.nvars(rng.randint(1, 2))
+        f = NcPoly.one(ab, field)
+        for _ in range(rng.randint(2, 4)):
+            f = f * rand_poly(rng, ab, field, max_deg=2 if field.p < 5 else 1)
+        want = _outcome(_reference_complete_factorizations, f)
+        assert _outcome(complete_factorizations, f) == want, f
+        several += isinstance(want, list) and len(want) > 1
+    assert several >= 30
 
 
 def test_is_irreducible_budget_is_cumulative():

@@ -9,7 +9,9 @@ exception may escape `cli.main`.
 
 Sizes that once exhausted memory run as named probes in a child process
 with a capped address space and a timeout; each must end in
-`error: budget:` with exit 2.
+`error: budget:` with exit 2.  Files over wide alphabets, whose parsing
+and printing once cost time in the alphabet size for every line, must
+round-trip through a capped child process in a few seconds.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +124,7 @@ HUGE_SIZES = [
     ("words-n", ["words", "--n", "2000000000"]),
     ("recover-nvars", ["recover", str(GOLDEN / "embed_circuit.txt"), "--nvars", "100000000"]),
     ("embed-nvars", ["embed", str(GOLDEN / "inputs" / "f.ncc"), "--nvars", "100000000000"]),
+    ("eval-dim", ["eval", str(GOLDEN / "inputs" / "xyx.poly"), "--dim", "4000", "--seed", "0"]),
 ]
 
 
@@ -135,3 +139,35 @@ def test_huge_sizes_end_in_a_budget_error(args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: budget:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _wide_abp():
+    """2000 edges over x1..x20000, two variables on each first-layer edge."""
+    lines = ["ncabp field=Q alphabet=x1..x20000 layers=3", "layer 0"]
+    lines += ["edge 0 %d 1*x%d + 3*x%d" % (v, v + 1, 20000 - v) for v in range(1000)]
+    lines.append("layer 1")
+    lines += ["edge %d 0 -1/2 + 1*x%d" % (v, 10000 + v) for v in range(1000)]
+    return "\n".join(lines) + "\n"
+
+
+def _wide_poly():
+    """2000 quadratic terms over x1..x100000, largest first."""
+    lines = ["ncpoly field=Q alphabet=x1..x100000"]
+    lines += ["%d x%d.x%d" % (t % 5 + 1, 50 * t + 1, 100000 - 37 * t) for t in range(2000)]
+    return "\n".join(lines) + "\n"
+
+
+ROUND_TRIP = ("import sys; from ncfactor import textio; from ncfactor.circuits import Abp; "
+              "from ncfactor.ncpoly import NcPoly; "
+              "sys.stdout.write(textio.read(sys.stdin.read(), NcPoly, Abp).to_text())")
+
+
+@pytest.mark.parametrize("text", [_wide_abp(), _wide_poly()], ids=["abp-x20000", "ncpoly-x100000"])
+def test_wide_alphabets_round_trip_quickly(text):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP], input=text, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_cap_memory)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text
+    assert elapsed < 3.0, elapsed
