@@ -214,6 +214,18 @@ def test_error_exit_codes(tmp_path):
     assert err.startswith("error: budget:")
 
 
+def test_reduce_paper_mode_degree_two_exceeds_the_budget(tmp_path):
+    """x1x2 + x2x1 over F2 has a degree-28 paper-mode image: its first
+    left-factor search alone needs 2^29 steps.  This pins the behaviour
+    until homogeneous images are factored without the oracle."""
+    path = tmp_path / "sym.poly"
+    path.write_text("ncpoly field=F2 alphabet=x1..x2\n1 x1.x2\n1 x2.x1\n")
+    code, out, err = run_cli(["reduce", "--mode", "paper", str(path)], timeout=60)
+    assert (code, out) == (2, "")
+    assert err == ("error: budget: factor search used 0 of limit 4194304 steps; "
+                   "the next left-factor search needs 536870912\n")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 CERT_LINES = (GOLDEN / "zdiv2fact_9_5.txt").read_text().splitlines(keepends=True)
 NCC = "ncc field=Q alphabet=x1..x2\n"
