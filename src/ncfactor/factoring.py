@@ -5,13 +5,11 @@ factors of degree k are found exactly: once the k coefficients a monic
 candidate g assigns to the proper prefixes of its (forced) leading word
 are fixed, the whole cofactor h is determined by a triangular recurrence
 over words in descending length, and g itself comes back by right
-division.  Enumerating the prefix assignments (at most |F_p|^k: only
-the coefficients the recurrence reads vary) is therefore a complete
-search, at a tiny fraction of the cost of enumerating all of g.
-Word reversal is an anti-automorphism (f = g*h exactly when
-rev f = rev h * rev g), so the degree-k left factors of f are also found
-by searching the degree-(d - k) left factors of rev f; each search runs
-on the cheaper of the two sides.
+division.  Enumerating the prefix assignments is therefore a complete
+search, at a tiny fraction of the cost of enumerating all of g.  Only
+the coefficients the recurrence reads vary: it reads g(w0[:j]) only
+where w0[j:] is at most deg f - k long, so at most |F_p|^min(k, deg f - k)
+assignments run.
 
 Complete factorizations are the maximal chains of f's own monic left
 factors, so f is searched once per degree and every factor is a quotient.
@@ -19,12 +17,11 @@ factors, so f is searched once per degree and every factor is a quotient.
 Soundness is re-checked by exact multiplication on every factor found;
 a failed check raises SoundnessError, also under `python -O`.
 
-Budget contract: a search of degree-k left factors of f of degree d runs
-on side j = k (on f) or j = d - k >= 1 (on rev f), whichever costs less,
-a tie going to fewer assignments; side j costs p^j * (number of words of
-length <= d - j, plus one per division) steps, a bound on the assignments
-and words its recurrence visits.  One `left_factors` call
-raises BudgetExceededError when its own cost passes the budget;
+Budget contract: a search is planned before it runs, and costs
+p^r * (w + 1) steps, where r is the number of prefix coefficients its
+recurrence reads, w the number of words it visits and the +1 the one
+division each assignment makes.  One `left_factors` call raises
+BudgetExceededError when its own cost passes the budget;
 `is_irreducible` and `complete_factorizations` charge every search they
 make against one counter, so a single call of either is bounded as a
 whole; for `complete_factorizations` these are only the searches on f,
@@ -71,49 +68,18 @@ def _check_field(f):
         raise ValueError("the dense oracle runs over F_p for p in %s" % (ORACLE_PRIMES,))
 
 
-def _search_steps(f, k):
-    """(steps, j) of one `left_factors(f, k)` call, on its cheaper side.
+def _plan(f, k):
+    """(steps, rows, read): the recurrence for degree-k left factors of f
+    (1 <= k <= deg f), built before any assignment runs.
 
-    Side j runs the recurrence for degree-j left factors: j = k on f, or
-    j = d - k >= 1 on rev f.  It costs p^j prefix assignments times (the
-    words of length <= d - j, plus the one division each assignment
-    makes), which bounds what the recurrence visits; a tie goes to the
-    side with fewer assignments.
+    rows are the words v that can carry a cofactor coefficient (v with
+    w0*v a word of f, or with w0[j:]*v such a word for some j), longest
+    first, each with f's coefficient at w0*v and the keys w0[j:]*v among
+    them.  read are the prefix indices j that some key reads; an unread
+    prefix coefficient leaves h as it is, so only the read ones vary, the
+    others staying 0.  The search costs p^len(read) * (len(rows) + 1)
+    steps: every row, and one division, per assignment.
     """
-    if f.is_zero() or not 1 <= k <= f.degree:
-        return 0, 0
-    d = f.degree
-    a = f.alphabet.size
-    p = f.field.p
-    return min((p ** j * (sum(a ** m for m in range(d - j + 1)) + 1), j)
-               for j in {k, d - k} if j >= 1)
-
-
-def _reversed(f):
-    """rev f: every word read backwards.  Reversal is an anti-automorphism,
-    so f = g*h exactly when rev f = rev h * rev g."""
-    return NcPoly(f.alphabet, f.field, [(w[::-1], c) for w, c in f.terms.items()])
-
-
-def _unreversed(pair):
-    """The split (g, h) of f from a split (G, H) of rev f."""
-    big_g, big_h = pair
-    lc, g = _reversed(big_h).monic()
-    return g, _reversed(big_g).scale(lc)
-
-
-def _splits(f, k):
-    """The pairs (g, h) with f = g*h, g monic of degree k, that one prefix
-    assignment and one right division give: every such g, perhaps more
-    than once.
-
-    Only the words that can carry a cofactor coefficient are visited:
-    v with w0*v a word of f, or with w0[j:]*v such a word for some j,
-    longest first.  They, f's coefficient at each w0*v and the keys
-    w0[j:]*v among them are built once per call, not per assignment.
-    """
-    field = f.field
-    p = field.p
     w0 = f.leading_monomial()[:k]
     suffixes = [w0[j:] for j in range(k)]
     coeffs = {w: c.value for w, c in f.terms.items()}
@@ -127,11 +93,37 @@ def _splits(f, k):
     rows = [(v, coeffs.get(w0 + v, 0),
              [(j, s + v) for j, s in enumerate(suffixes) if s + v in words])
             for v in sorted(words, key=len, reverse=True)]
-    # a prefix coefficient that no key reads leaves h as it is: vary the
-    # read ones only, the others staying 0
     read = sorted({j for _, _, links in rows for j, _ in links})
     rows = [(v, c, [(read.index(j), key) for j, key in links]) for v, c, links in rows]
+    return f.field.p ** len(read) * (len(rows) + 1), rows, read
+
+
+def left_factors(f, k, budget=DEFAULT_BUDGET):
+    """All monic degree-k left factors of f, in canonical order.
+
+    Complete by the prefix-coefficient argument: if f = g*h with g monic
+    of degree k, then lm(g) is the length-k prefix w0 of lm(f), and for
+    every word v the coefficient of w0*v in f equals
+    h(v) + sum_j g(w0[:j]) * h(w0[j:]*v), which determines h from the k
+    prefix coefficients alone.  The recurrence runs on plain ints mod p
+    over the rows `_plan` lists, once per assignment of the prefix
+    coefficients it reads, and g comes back from h by `right_divide`.
+    The budget bounds the planned steps of this one call.
+    """
+    _check_field(f)
+    if f.is_zero():
+        raise ValueError("left factors of the zero polynomial")
+    if not 1 <= k <= f.degree:
+        return []
+    steps, rows, read = _plan(f, k)
+    if steps > budget:
+        raise BudgetExceededError(
+            "left-factor search needs %d steps, limit %d" % (steps, budget))
+    field = f.field
+    p = field.p
     elems = [field.from_int(t) for t in range(p)]
+    found = []
+    seen = set()
     for assignment in product(range(p), repeat=len(read)):
         eta = {}
         for v, val, links in rows:
@@ -142,41 +134,8 @@ def _splits(f, k):
                 eta[v] = val
         h = NcPoly(f.alphabet, field, {v: elems[t] for v, t in eta.items()})
         g = right_divide(f, h)
-        if g is not None:
-            yield g, h
-
-
-def left_factors(f, k, budget=DEFAULT_BUDGET):
-    """All monic degree-k left factors of f, in canonical order.
-
-    Complete by the prefix-coefficient argument: if f = g*h with g monic
-    of degree k, then lm(g) is the length-k prefix w0 of lm(f), and for
-    every word v the coefficient of w0*v in f equals
-    h(v) + sum_j g(w0[:j]) * h(w0[j:]*v), which determines h from the k
-    prefix coefficients alone.  The recurrence runs on plain ints mod p,
-    and g comes back from h by `right_divide`.
-
-    The search runs on the cheaper side (`_search_steps`): for degree k
-    on f, or for degree d - k on rev f, whose pairs (G, H) give
-    g = rev H / lc(rev H) and h = lc * rev G.  The monic set being
-    intrinsic, both sides find the same factors; the checks, the dedup
-    and the canonical sort run on the final pairs.  The budget bounds
-    the steps of this one call.
-    """
-    _check_field(f)
-    if f.is_zero():
-        raise ValueError("left factors of the zero polynomial")
-    if not 1 <= k <= f.degree:
-        return []
-    steps, j = _search_steps(f, k)
-    if steps > budget:
-        raise BudgetExceededError(
-            "left-factor search needs %d steps, limit %d" % (steps, budget))
-    field = f.field
-    pairs = _splits(f, k) if j == k else map(_unreversed, _splits(_reversed(f), j))
-    found = []
-    seen = set()
-    for g, h in pairs:
+        if g is None:
+            continue
         key = _poly_key(g)
         if key in seen:
             continue
@@ -197,7 +156,7 @@ def _metered(budget):
 
     def search(g, k):
         nonlocal used
-        steps, _ = _search_steps(g, k)
+        steps = _plan(g, k)[0]
         if used + steps > budget:
             raise BudgetExceededError(
                 "factor search used %d of limit %d steps; the next left-factor "

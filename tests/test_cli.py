@@ -214,16 +214,20 @@ def test_error_exit_codes(tmp_path):
     assert err.startswith("error: budget:")
 
 
-def test_reduce_paper_mode_degree_two_exceeds_the_budget(tmp_path):
-    """x1x2 + x2x1 over F2 has a degree-28 paper-mode image: its first
-    left-factor search alone needs 2^29 steps.  This pins the behaviour
-    until homogeneous images are factored without the oracle."""
-    path = tmp_path / "sym.poly"
-    path.write_text("ncpoly field=F2 alphabet=x1..x2\n1 x1.x2\n1 x2.x1\n")
-    code, out, err = run_cli(["reduce", "--mode", "paper", str(path)], timeout=60)
-    assert (code, out) == (2, "")
-    assert err == ("error: budget: factor search used 0 of limit 4194304 steps; "
-                   "the next left-factor search needs 536870912\n")
+@pytest.mark.parametrize("terms, factors", [
+    ("1 x1.x2\n1 x2.x1\n", 1),
+    ("1 x1.x1.x2\n1 x1.x2.x1\n1 x2.x1.x2\n1 x2.x2.x1\n", 2)])
+def test_reduce_paper_mode_factors_homogeneous_images(tmp_path, terms, factors):
+    """x1x2 + x2x1 and (x1 + x2)(x1x2 + x2x1) over F2 have paper-mode
+    images of degree 28 and 42.  A search there reads at most
+    min(k, d - k) prefix coefficients and visits only the words the image
+    can reach, so both fit the default budget and factor as in compact
+    mode."""
+    path = tmp_path / "homog.poly"
+    path.write_text("ncpoly field=F2 alphabet=x1..x2\n" + terms)
+    paper = run_cli(["reduce", "--mode", "paper", str(path)], timeout=60)
+    assert paper == run_cli(["reduce", str(path)], timeout=60)
+    assert paper[0] == 0 and paper[1].startswith("factors %d\n" % factors)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -6,9 +6,9 @@ import pytest
 
 from ncfactor import factoring
 from ncfactor.errors import BudgetExceededError, SoundnessError
-from ncfactor.factoring import (_check_field, _metered, _poly_key, _reversed,
-                                _search_steps, complete_factorizations,
-                                is_irreducible, left_factors)
+from ncfactor.factoring import (_check_field, _metered, _plan, _poly_key,
+                                complete_factorizations, is_irreducible,
+                                left_factors)
 from ncfactor.fields import GF2, GF3, QQ, PrimeField
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, left_divide, right_divide
@@ -85,36 +85,36 @@ def _used_and_limit(exc):
 
 
 def test_complete_factorizations_budget_is_cumulative():
-    """x^4 over F2 searches k = 1, 2, 3 at 32 steps each (k = 3 on the
-    reversed side): every search fits a budget of 40, the whole
-    factorization does not.  Those three searches are all it makes, so
-    96 = 3 * 32 steps suffice."""
+    """x^4 over F2 searches k = 1, 2, 3 at 10, 16 and 6 steps: every
+    search fits a budget of 16, the whole factorization does not.  Those
+    three searches are all it makes, so 32 = 10 + 16 + 6 steps suffice."""
     x = NcPoly.variable(AB, GF2, 0)
     f = x * x * x * x
     assert [(s, fs) for s, fs in complete_factorizations(f)] == [(GF2.one, (x, x, x, x))]
     for k in (1, 2, 3):
-        left_factors(f, k, budget=40)
+        left_factors(f, k, budget=16)
     with pytest.raises(BudgetExceededError) as exc:
-        complete_factorizations(f, budget=40)
-    assert _used_and_limit(exc) == (32, 40)
-    assert [(s, fs) for s, fs in complete_factorizations(f, budget=96)] == \
+        complete_factorizations(f, budget=16)
+    assert _used_and_limit(exc) == (10, 16)
+    assert [(s, fs) for s, fs in complete_factorizations(f, budget=32)] == \
         [(GF2.one, (x, x, x, x))]
     with pytest.raises(BudgetExceededError) as exc:
-        complete_factorizations(f, budget=95)
-    assert _used_and_limit(exc) == (64, 95)
+        complete_factorizations(f, budget=31)
+    assert _used_and_limit(exc) == (26, 31)
 
 
-def test_search_steps_take_the_cheaper_side():
-    """Side j costs p^j * (words of length <= d - j, plus one division);
-    a tie goes to fewer assignments."""
+def test_plan_charges_the_rows_and_read_prefixes():
+    """A search costs p^(read prefixes) * (rows + 1).  For x^4 over F2,
+    k = 1 visits x^3, x^2, x, 1 and reads g(1); k = 2 visits x^2, x, 1 and
+    reads g(1), g(x); k = 3 visits x, 1 and reads only g(x^2), since
+    w0[j:] must fit in the d - k = 1 letters of a cofactor word."""
     x = NcPoly.variable(AB, GF2, 0)
     f = x * x * x * x
-    assert [_search_steps(f, k) for k in (1, 2, 3)] == [(32, 1), (32, 2), (32, 1)]
+    plans = [_plan(f, k) for k in (1, 2, 3, 4)]
+    assert [(steps, len(rows), read) for steps, rows, read in plans] == \
+        [(10, 4, [0]), (16, 3, [0, 1]), (6, 2, [2]), (2, 1, [])]
     u = NcPoly.variable(AB, GF3, 0)
-    assert _search_steps(u * u * u * u * u, 4) == (96, 1)
-    ab3 = Alphabet.nvars(3)
-    z = NcPoly.variable(ab3, GF2, 2)
-    assert _search_steps(z * z * z * z, 3) == (40, 3)
+    assert _plan(u * u * u * u * u, 4)[0] == 3 * (2 + 1)
 
 
 def test_complete_factorizations_searches_only_the_monic_input(monkeypatch):
@@ -200,10 +200,10 @@ def test_is_irreducible_budget_is_cumulative():
     x = NcPoly.variable(AB, GF2, 0)
     y = NcPoly.variable(AB, GF2, 1)
     f = x * y * y * x + NcPoly.one(AB, GF2)
-    assert is_irreducible(f, budget=96)
+    assert is_irreducible(f, budget=10)
     with pytest.raises(BudgetExceededError) as exc:
-        is_irreducible(f, budget=95)
-    assert _used_and_limit(exc) == (64, 95)
+        is_irreducible(f, budget=9)
+    assert _used_and_limit(exc) == (8, 9)
 
 
 def _reference_left_factors(f, k):
@@ -235,18 +235,16 @@ def _reference_left_factors(f, k):
 
 
 def test_left_factors_match_field_element_reference(monkeypatch):
+    """Also checks the plan: it reads at most min(k, d - k) prefix
+    coefficients, and each of its p^len(read) assignments makes the one
+    division it is charged for."""
     rng = random.Random(77)
     fields = (GF2, GF3, PrimeField(5))
     products = 0
     searches = [0, 0]
-    sides = []
-    splits = factoring._splits
-
-    def spy(g, j):
-        sides.append((g, j))
-        return splits(g, j)
-    monkeypatch.setattr(factoring, "_splits", spy)
-    reversed_side = 0
+    divisions = []
+    monkeypatch.setattr(factoring, "right_divide",
+                        lambda f, h: divisions.append(h) or right_divide(f, h))
     while products < 30:
         field = fields[products % 3]
         ab = Alphabet.nvars(rng.randint(1, 3))
@@ -259,15 +257,11 @@ def test_left_factors_match_field_element_reference(monkeypatch):
             fast = left_factors(f, k)
             assert fast == _reference_left_factors(f, k), (f, k)
             searches[bool(fast)] += 1
-            (g, j), = sides
-            sides.clear()
-            if j == k:
-                assert g == f
-            else:
-                assert (g, j) == (_reversed(f), f.degree - k)
-                reversed_side += 1
+            read = _plan(f, k)[2]
+            assert len(read) <= min(k, f.degree - k)
+            assert len(divisions) == field.p ** len(read)
+            divisions.clear()
     assert min(searches) >= 10
-    assert reversed_side >= 10 and sum(searches) - reversed_side >= 10
 
 
 def test_oracle_rejects_large_fields():

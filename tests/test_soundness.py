@@ -64,17 +64,6 @@ def test_oracle_left_factor_check_raises_soundness_error(monkeypatch):
         left_factors(XY, 1)
 
 
-def test_oracle_reversed_side_check_raises_soundness_error(monkeypatch):
-    """Degree 2 of xyx costs 16 steps on either side, so the search takes
-    the reversed side, which has fewer assignments."""
-    xyx = XY * X
-    assert factoring._search_steps(xyx, 2) == (16, 1)
-    assert left_factors(xyx, 2) == [XY]
-    monkeypatch.setattr(factoring, "right_divide", _plus_one(factoring.right_divide))
-    with pytest.raises(SoundnessError):
-        left_factors(xyx, 2)
-
-
 def test_oracle_multiply_back_raises_soundness_error(monkeypatch):
     assert len(complete_factorizations(XY)) == 1
     monkeypatch.setattr(factoring, "left_divide", _plus_one(factoring.left_divide))
@@ -116,10 +105,9 @@ def test_answer_checks_survive_python_O():
          "tests/test_soundness.py::test_corrupted_certificate_raises_soundness_error",
          "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2",
          "tests/test_soundness.py::test_oracle_left_factor_check_raises_soundness_error",
-         "tests/test_soundness.py::test_oracle_reversed_side_check_raises_soundness_error",
          "tests/test_soundness.py::test_oracle_multiply_back_raises_soundness_error",
          "tests/test_soundness.py::test_cli_reports_oracle_soundness_error_with_exit_2",
          "tests/test_soundness.py::test_automaton_guards_raise_soundness_error"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "9 passed" in proc.stdout
+    assert "8 passed" in proc.stdout
