@@ -29,7 +29,7 @@ from ncfactor.linmat import (FactorizationCert, LinearMatrix, factor_3x3,
                              verify_cert, zdiv_to_factorization,
                              factorization_to_zdiv)
 from ncfactor.matrix import Matrix
-from ncfactor.ncpoly import Alphabet, NcPoly
+from ncfactor.ncpoly import X, Y, NcPoly
 from ncfactor.quaternion import Quaternion
 from ncfactor.words import enumerate_words
 
@@ -60,10 +60,16 @@ def _alpha_beta(args):
     return QQ.parse(args.alpha), QQ.parse(args.beta)
 
 
+# letter bytes -> names on the bivariate alphabet; the newline byte maps to itself
+_XY_NAMES = bytes.maketrans(bytes((X, Y)), b"xy")
+
+
 def cmd_words(args):
+    """One word a line, as `Alphabet.word_to_str` spells it: the words are
+    nonempty, so none is "1", and all of them go through one translation."""
     ws = enumerate_words(args.n, args.mode)
-    ab = Alphabet.bivariate()
-    _write_out("".join(ab.word_to_str(w) + "\n" for w in ws), args.output)
+    text = b"\n".join(map(bytes, ws)) + b"\n"
+    _write_out(text.translate(_XY_NAMES).decode(), args.output)
     return 0
 
 

@@ -11,6 +11,12 @@ the coefficients the recurrence reads vary: it reads g(w0[:j]) only
 where w0[j:] is at most deg f - k long, so at most |F_p|^min(k, deg f - k)
 assignments run.
 
+Each search is planned once, and its per-assignment loop runs on
+{word: int mod p} dicts from start to finish: f is converted once, the
+int cofactor goes straight to the dict-level division core
+`ncpoly._divide_terms`, and quotients are deduplicated as ints.  Field
+elements are built only for the factors kept.
+
 Complete factorizations are the maximal chains of f's own monic left
 factors, so f is searched once per degree and every factor is a quotient.
 
@@ -34,7 +40,7 @@ from itertools import product
 
 from ncfactor.errors import BudgetExceededError, SoundnessError
 from ncfactor.fields import PrimeField
-from ncfactor.ncpoly import NcPoly, left_divide, right_divide
+from ncfactor.ncpoly import NcPoly, _divide_terms, left_divide
 
 ORACLE_PRIMES = (2, 3, 5)
 DEFAULT_BUDGET = 1 << 22
@@ -82,20 +88,47 @@ def _plan(f, k):
     """
     w0 = f.leading_monomial()[:k]
     suffixes = [w0[j:] for j in range(k)]
-    coeffs = {w: c.value for w, c in f.terms.items()}
+    terms = f.terms
     words = set()
-    todo = [w[k:] for w in coeffs if w[:k] == w0]
+    todo = [w[k:] for w in terms if w[:k] == w0]
     while todo:
         v = todo.pop()
         if v not in words:
             words.add(v)
-            todo.extend(v[len(s):] for s in suffixes if v[:len(s)] == s)
-    rows = [(v, coeffs.get(w0 + v, 0),
-             [(j, s + v) for j, s in enumerate(suffixes) if s + v in words])
-            for v in sorted(words, key=len, reverse=True)]
-    read = sorted({j for _, _, links in rows for j, _ in links})
-    rows = [(v, c, [(read.index(j), key) for j, key in links]) for v, c, links in rows]
+            for s in suffixes:
+                if v[:len(s)] == s:
+                    todo.append(v[len(s):])
+    order = sorted(words, key=len, reverse=True)
+    links = [[(j, s + v) for j, s in enumerate(suffixes) if s + v in words] for v in order]
+    read = sorted({j for row in links for j, _ in row})
+    slot = {j: i for i, j in enumerate(read)}
+    rows = [(v, terms[w0 + v].value if w0 + v in terms else 0,
+             [(slot[j], key) for j, key in row]) for v, row in zip(order, links)]
     return f.field.p ** len(read) * (len(rows) + 1), rows, read
+
+
+class _SharedBudget(int):
+    """A step limit shared by several searches: the int limit itself, so
+    it reads as any budget does, plus the steps already charged to it."""
+
+    def __new__(cls, limit):
+        budget = super().__new__(cls, limit)
+        budget.used = 0
+        return budget
+
+
+def _charge(budget, steps):
+    """Charge a planned search to its budget, raising BudgetExceededError
+    before the search runs when it does not fit."""
+    if isinstance(budget, _SharedBudget):
+        if budget.used + steps > budget:
+            raise BudgetExceededError(
+                "factor search used %d of limit %d steps; the next left-factor "
+                "search needs %d" % (budget.used, budget, steps))
+        budget.used += steps
+    elif steps > budget:
+        raise BudgetExceededError(
+            "left-factor search needs %d steps, limit %d" % (steps, budget))
 
 
 def left_factors(f, k, budget=DEFAULT_BUDGET):
@@ -105,10 +138,13 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     of degree k, then lm(g) is the length-k prefix w0 of lm(f), and for
     every word v the coefficient of w0*v in f equals
     h(v) + sum_j g(w0[:j]) * h(w0[j:]*v), which determines h from the k
-    prefix coefficients alone.  The recurrence runs on plain ints mod p
-    over the rows `_plan` lists, once per assignment of the prefix
-    coefficients it reads, and g comes back from h by `right_divide`.
-    The budget bounds the planned steps of this one call.
+    prefix coefficients alone.  The search is planned once, f is turned
+    into plain ints mod p once, and each assignment of the prefix
+    coefficients the plan reads runs the recurrence and one right
+    division on ints (`_divide_terms`).  Quotients are deduplicated as
+    ints; only a new one becomes a field-element g, checked monic of
+    degree k and multiplied back against f.  The budget bounds the
+    planned steps of this one call, or of every call sharing it.
     """
     _check_field(f)
     if f.is_zero():
@@ -116,14 +152,12 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     if not 1 <= k <= f.degree:
         return []
     steps, rows, read = _plan(f, k)
-    if steps > budget:
-        raise BudgetExceededError(
-            "left-factor search needs %d steps, limit %d" % (steps, budget))
+    _charge(budget, steps)
     field = f.field
     p = field.p
     elems = [field.from_int(t) for t in range(p)]
-    found = []
-    seen = set()
+    fvals = {w: c.value for w, c in f.terms.items()}
+    found = {}
     for assignment in product(range(p), repeat=len(read)):
         eta = {}
         for v, val, links in rows:
@@ -132,38 +166,26 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
             val %= p
             if val:
                 eta[v] = val
-        h = NcPoly(f.alphabet, field, {v: elems[t] for v, t in eta.items()})
-        g = right_divide(f, h)
-        if g is None:
+        quot = _divide_terms(fvals, eta, False, p)
+        if quot is None:
             continue
-        key = _poly_key(g)
-        if key in seen:
+        key = tuple(sorted(quot.items()))
+        if key in found:
             continue
-        seen.add(key)
+        g = NcPoly(f.alphabet, field, {w: elems[t] for w, t in quot.items()})
         if g.degree != k or g.leading_coeff() != field.one:
             raise SoundnessError("left factor is not monic of degree %d" % k)
-        if g * h != f:
+        if g * NcPoly(f.alphabet, field, {v: elems[t] for v, t in eta.items()}) != f:
             raise SoundnessError("left factor times cofactor does not give f")
-        found.append(g)
-    found.sort(key=_poly_key)
-    return found
+        found[key] = g
+    return [found[key] for key in sorted(found)]
 
 
 def _metered(budget):
     """`left_factors` charged against one shared step counter: a search
     that would take the total past `budget` raises before it runs."""
-    used = 0
-
-    def search(g, k):
-        nonlocal used
-        steps = _plan(g, k)[0]
-        if used + steps > budget:
-            raise BudgetExceededError(
-                "factor search used %d of limit %d steps; the next left-factor "
-                "search needs %d" % (used, budget, steps))
-        used += steps
-        return left_factors(g, k, budget)
-    return search
+    shared = _SharedBudget(budget)
+    return lambda g, k: left_factors(g, k, shared)
 
 
 def _poly_key(g):

@@ -13,13 +13,18 @@ coefficients of equal words and drops zero sums, so `+`, `-`, `*` and
 every caller that builds a polynomial hand it a raw stream of
 (word, coeff) pairs.
 
-Exact division has one core, `_divide`, behind `left_divide` and
-`right_divide`: it keeps the remainder as one mutable {word: coeff}
-dict and subtracts each quotient term times g in place.
+Exact division has one core, `_divide_terms`, on {word: coeff} dicts
+(ints mod p over F_p, Fractions over Q).  `left_divide` and
+`right_divide` reach it through the thin `NcPoly` wrapper `_divide`,
+and the F_p factor oracle calls it directly on its int cofactors.  The
+core keeps the remainder as one mutable dict, subtracts each quotient
+term times g in place, and finds the remainder's leading word in a heap
+instead of scanning the whole remainder at every step.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from ncfactor import textio
@@ -280,62 +285,85 @@ class NcPoly:
         return cls(alphabet, field, terms)
 
 
-def _divide(f, g, side):
-    """The division core: q with f = g*q (side "left") or f = q*g (side
-    "right"), or None when g does not divide f on that side.
+def _divide_terms(fterms, gterms, left, p):
+    """The division core, on {word: coeff} dicts: the quotient q with
+    f = g*q (left) or f = q*g (not left), or None when g does not divide
+    f on that side.  Coefficients are ints mod p, or exact Fractions when
+    p is 0; gterms must be nonzero, and neither input is changed.
 
-    The remainder is one mutable {word: coeff} dict.  Each step takes its
-    leading word m, which must be lm(g)+s (left) or s+lm(g) (right); the
-    quotient term c*s is fixed by the leading coefficients, and c*s times
-    the rest of g is subtracted in place.  The leading word strictly
-    drops at every step, because the order is multiplicative, so the
-    quotient is unique and the loop ends.  Over F_p the coefficients are
-    plain ints mod p until the quotient is built; over Q they stay
-    Fractions.
+    The remainder is one mutable dict, and a heap holds its words under
+    `_order_key`, so its leading word is the heap's least live entry; a
+    word that cancels leaves a stale entry, skipped when popped.  Each
+    step takes the leading word m, which must be lm(g)+s (left) or
+    s+lm(g) (right); the quotient term c*s is fixed by the leading
+    coefficients, and c*s times the rest of g is subtracted in place.
+    Every word it touches is below m, because the order is
+    multiplicative, so the leading word strictly drops, the quotient is
+    unique and the loop ends.
     """
-    f._compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("%s division by the zero polynomial" % side)
-    left = side == "left"
-    field = f.field
-    p = field.p if isinstance(field, PrimeField) else 0
+    k = max(map(len, gterms))
+    # the largest word: the longest, and among those the least tuple
+    glm = min(w for w in gterms if len(w) == k)
     if p:
-        rem = {w: c.value for w, c in f.terms.items()}
-        gterms = {w: c.value for w, c in g.terms.items()}
+        inv = pow(gterms[glm], -1, p)
+        rest = [(w, -c % p, -len(w)) for w, c in gterms.items() if w != glm]
     else:
-        rem = dict(f.terms)
-        gterms = g.terms
-    glm = g.leading_monomial()
-    inv = pow(gterms[glm], -1, p) if p else 1 / gterms[glm]
-    k = len(glm)
-    rest = [(w, -c) for w, c in gterms.items() if w != glm]
+        inv = 1 / gterms[glm]
+        rest = [(w, -c, -len(w)) for w, c in gterms.items() if w != glm]
+    rem = dict(fterms)
+    heap = [(-len(w), w) for w in rem]
+    heapify(heap)
     quot = {}
-    while rem:
-        m = min(rem, key=_order_key)
+    while heap:
+        neg_len, m = heappop(heap)
+        c = rem.pop(m, None)
+        if c is None:
+            continue
+        # s has len(m) - k letters; a word shorter than lm(g) cannot match
+        ls = -neg_len - k
+        if ls < 0:
+            return None
         if left:
             matched, s = m[:k], m[k:]
         else:
-            s, matched = m[:len(m) - k], m[len(m) - k:]
-        # a word shorter than lm(g) gives a shorter slice: no match
+            s, matched = m[:ls], m[ls:]
         if matched != glm:
             return None
-        c = rem.pop(m) * inv
-        if p:
-            c %= p
+        c = c * inv % p if p else c * inv
         quot[s] = c
-        for w, neg in rest:
+        for w, neg, neg_w in rest:
             word = w + s if left else s + w
             old = rem.get(word)
-            val = neg * c if old is None else old + neg * c
-            if p:
-                val %= p
+            if old is None:
+                rem[word] = neg * c % p if p else neg * c
+                heappush(heap, (neg_w - ls, word))
+                continue
+            val = (old + neg * c) % p if p else old + neg * c
             if val:
                 rem[word] = val
             else:
                 del rem[word]
-    if p:
-        quot = {s: field.from_int(c) for s, c in quot.items()}
-    return NcPoly(f.alphabet, field, quot)
+    return quot
+
+
+def _divide(f, g, side):
+    """`_divide_terms` on polynomials: q with f = g*q (side "left") or
+    f = q*g (side "right"), or None.  Over F_p the core runs on plain
+    ints mod p and the quotient comes back as field elements; over Q it
+    runs on the Fractions themselves."""
+    f._compatible(g)
+    if g.is_zero():
+        raise ZeroDivisionError("%s division by the zero polynomial" % side)
+    field = f.field
+    left = side == "left"
+    if not isinstance(field, PrimeField):
+        quot = _divide_terms(f.terms, g.terms, left, 0)
+        return None if quot is None else NcPoly(f.alphabet, field, quot)
+    quot = _divide_terms({w: c.value for w, c in f.terms.items()},
+                         {w: c.value for w, c in g.terms.items()}, left, field.p)
+    if quot is None:
+        return None
+    return NcPoly(f.alphabet, field, {s: field.from_int(c) for s, c in quot.items()})
 
 
 def left_divide(f, g):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from ncfactor.errors import SoundnessError
 from ncfactor.fields import QQ
 from ncfactor.matrix import Matrix
 
@@ -133,13 +134,25 @@ def is_zero_divisor(z):
 
 def search_zero_divisor(alpha, beta, bound):
     """Exhaustive scan of integer coordinate vectors with entries in
-    [-bound, bound]; returns the first zero divisor found, or None."""
+    [-bound, bound]; returns the first zero divisor found, or None.
+
+    With alpha = na/da and beta = nb/db, da*db times the reduced norm is
+    the integer form da*db*a0^2 - na*db*a1^2 - nb*da*a2^2 + na*nb*a3^2,
+    so each candidate is tested on ints; only the hit becomes a
+    Quaternion, and `is_zero_divisor` re-checks it."""
     if bound > SEARCH_MAX_BOUND:
         raise ValueError("search bound capped at %d" % SEARCH_MAX_BOUND)
+    one = Quaternion(alpha, beta, (1, 0, 0, 0))
+    na, da = one.alpha.as_integer_ratio()
+    nb, db = one.beta.as_integer_ratio()
+    c0, c1, c2, c3 = da * db, -na * db, -nb * da, na * nb
     for coords in product(range(-bound, bound + 1), repeat=4):
         if coords == (0, 0, 0, 0):
             continue
-        z = Quaternion(alpha, beta, coords)
-        if is_zero_divisor(z):
+        a0, a1, a2, a3 = coords
+        if c0 * a0 * a0 + c1 * a1 * a1 + c2 * a2 * a2 + c3 * a3 * a3 == 0:
+            z = Quaternion(alpha, beta, coords)
+            if not is_zero_divisor(z):
+                raise SoundnessError("integer norm form vanishes off the reduced norm")
             return z
     return None

@@ -44,23 +44,26 @@ def is_minimally_balanced(word):
 def dyck_words(half_length):
     """All Dyck words of length 2*half_length, ascending in the word order.
 
-    y sorts below x, so the generator takes the y-branch first whenever
-    the prefix condition (never more y than x) allows it.
+    y sorts below x, so the first word is (xy)^half_length, the least
+    that never has more y than x in a prefix.  The successor of a word
+    turns its rightmost y that some later x follows into x, and fills
+    the rest with the least completion: y down to height 0, then xy
+    pairs.  One list is rewritten in place.
     """
-    word = [0] * (2 * half_length)
-
-    def rec(pos, xs, ys):
-        if pos == len(word):
-            yield tuple(word)
+    word = [X, Y] * half_length
+    n = len(word)
+    while True:
+        yield tuple(word)
+        xs_after = 0
+        i = n - 1
+        while i >= 0 and (word[i] == X or not xs_after):
+            xs_after += word[i] == X
+            i -= 1
+        if i < 0:
             return
-        if ys < xs:
-            word[pos] = Y
-            yield from rec(pos + 1, xs, ys + 1)
-        if xs < half_length:
-            word[pos] = X
-            yield from rec(pos + 1, xs + 1, ys)
-
-    yield from rec(0, 0, 0)
+        # word[:i] holds half_length - xs_after letters x; word[i] becomes one
+        height = 2 * (half_length - xs_after + 1) - (i + 1)
+        word[i:] = [X] + [Y] * height + [X, Y] * (xs_after - 1)
 
 
 def minimally_balanced_words(length):

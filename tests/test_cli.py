@@ -1,3 +1,5 @@
+import hashlib
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ import pytest
 
 from ncfactor import cli
 from ncfactor.circuits import circuit_from_poly
-from ncfactor.fields import GF2, QQ
+from ncfactor.fields import GF2, QQ, PrimeField
 from ncfactor.ncpoly import Alphabet, NcPoly
 
 AB = Alphabet.bivariate()
@@ -228,6 +230,48 @@ def test_reduce_paper_mode_factors_homogeneous_images(tmp_path, terms, factors):
     paper = run_cli(["reduce", "--mode", "paper", str(path)], timeout=60)
     assert paper == run_cli(["reduce", str(path)], timeout=60)
     assert paper[0] == 0 and paper[1].startswith("factors %d\n" % factors)
+
+
+def _dense_product(rng, alphabet, field, degrees, nterms):
+    """A product of random polynomials of the given degrees, each with a
+    full-degree leading word and up to nterms lower terms."""
+    f = NcPoly.one(alphabet, field)
+    for deg in degrees:
+        terms = [(tuple(rng.randrange(alphabet.size) for _ in range(deg)),
+                  field.from_int(rng.randrange(1, field.p)))]
+        for _ in range(nterms):
+            terms.append((tuple(rng.randrange(alphabet.size) for _ in range(rng.randrange(deg))),
+                          field.from_int(rng.randrange(1, field.p))))
+        f = f * NcPoly(alphabet, field, terms)
+    return f
+
+
+ORACLE_PINS = {
+    "factor-dense": "adb1dc12caba91881c5ee4161d9a2d8f54e5ba6061a0e000dbafcaf440eb18bb",
+    "reduce": "86719bfe76cc292c0955e6f5f949955650891b25ce94dd082371cb2362954ad5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_PINS))
+def test_oracle_cli_output_is_pinned(tmp_path, command):
+    """The F_p oracle's answers, byte for byte, as the CLI prints them:
+    factor-dense on 30 bivariate products over F2, F3 and F5, and reduce
+    on 12 products over F2 in one and two variables."""
+    rng = random.Random(1313)
+    if command == "factor-dense":
+        cases = [(AB, PrimeField(p), degrees, nterms)
+                 for p, degrees, nterms in ((2, (3, 3), 4), (3, (3, 2), 3), (5, (2, 2), 3))
+                 for _ in range(10)]
+    else:
+        cases = [(Alphabet.nvars(n), GF2, degrees, 2)
+                 for n, degrees in ((1, (1, 2)), (2, (1, 1))) for _ in range(6)]
+    digest = hashlib.sha256()
+    for i, (alphabet, field, degrees, nterms) in enumerate(cases):
+        src, out = tmp_path / ("%d.poly" % i), tmp_path / ("%d.txt" % i)
+        src.write_text(_dense_product(rng, alphabet, field, degrees, nterms).to_text())
+        assert cli.main([command, str(src), "-o", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == ORACLE_PINS[command]
 
 
 GOLDEN = Path(__file__).parent / "golden"

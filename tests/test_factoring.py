@@ -133,6 +133,26 @@ def test_complete_factorizations_searches_only_the_monic_input(monkeypatch):
     assert calls == [(f.monic()[1], k) for k in range(1, f.degree)]
 
 
+def test_each_search_is_planned_once(monkeypatch):
+    """`complete_factorizations` plans each degree it searches exactly
+    once: the budget charge and the search share one plan."""
+    rng = random.Random(79)
+    plan = factoring._plan
+    calls = []
+    monkeypatch.setattr(factoring, "_plan", lambda g, k: calls.append((g, k)) or plan(g, k))
+    for n in range(12):
+        field = (GF2, GF3, PrimeField(5))[n % 3]
+        f = rand_poly(rng, AB, field, max_deg=2, max_terms=4) * rand_poly(rng, AB, field, max_deg=2)
+        if f.degree < 2:
+            continue
+        complete_factorizations(f)
+        assert calls == [(f.monic()[1], k) for k in range(1, f.degree)]
+        calls.clear()
+        left_factors(f, 1)
+        assert calls == [(f, 1)]
+        calls.clear()
+
+
 def _reference_complete_factorizations(f, budget=factoring.DEFAULT_BUDGET):
     """The recursive oracle the factor lattice replaced: an irreducible
     left factor, certified by searching it, then a complete factorization
@@ -243,8 +263,9 @@ def test_left_factors_match_field_element_reference(monkeypatch):
     products = 0
     searches = [0, 0]
     divisions = []
-    monkeypatch.setattr(factoring, "right_divide",
-                        lambda f, h: divisions.append(h) or right_divide(f, h))
+    divide = factoring._divide_terms
+    monkeypatch.setattr(factoring, "_divide_terms",
+                        lambda f, h, left, p: divisions.append(h) or divide(f, h, left, p))
     while products < 30:
         field = fields[products % 3]
         ab = Alphabet.nvars(rng.randint(1, 3))

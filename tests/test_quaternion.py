@@ -106,5 +106,17 @@ def test_search_zero_divisor():
         search_zero_divisor(1, 1, 6)
 
 
+def test_search_matches_the_reduced_norm_scan():
+    """The integer norm form finds the same first hit as scanning every
+    candidate's Fraction reduced norm, also for non-integral alpha, beta."""
+    params = (1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+    for alpha, beta in product(params, repeat=2):
+        want = next((Quaternion(alpha, beta, c)
+                     for c in product(range(-2, 3), repeat=4)
+                     if c != (0, 0, 0, 0) and is_zero_divisor(Quaternion(alpha, beta, c))),
+                    None)
+        assert search_zero_divisor(alpha, beta, 2) == want
+
+
 def test_search_is_deterministic():
     assert search_zero_divisor(1, 1, 1) == search_zero_divisor(1, 1, 1)

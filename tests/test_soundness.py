@@ -57,9 +57,19 @@ def _plus_one(divide):
     return wrong
 
 
+def _plus_one_terms(divide):
+    """The dict-level `divide` with 1 added to its int quotient mod p."""
+    def wrong(f, g, left, p):
+        q = divide(f, g, left, p)
+        if q is not None:
+            q[()] = (q.get((), 0) + 1) % p
+        return q
+    return wrong
+
+
 def test_oracle_left_factor_check_raises_soundness_error(monkeypatch):
     assert left_factors(XY, 1) == [X]
-    monkeypatch.setattr(factoring, "right_divide", _plus_one(factoring.right_divide))
+    monkeypatch.setattr(factoring, "_divide_terms", _plus_one_terms(factoring._divide_terms))
     with pytest.raises(SoundnessError):
         left_factors(XY, 1)
 
@@ -74,7 +84,7 @@ def test_oracle_multiply_back_raises_soundness_error(monkeypatch):
 def test_cli_reports_oracle_soundness_error_with_exit_2(monkeypatch, tmp_path, capsys):
     path = tmp_path / "xy.poly"
     path.write_text(XY.to_text())
-    monkeypatch.setattr(factoring, "right_divide", _plus_one(factoring.right_divide))
+    monkeypatch.setattr(factoring, "_divide_terms", _plus_one_terms(factoring._divide_terms))
     assert cli.main(["factor-dense", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: soundness:")
 

@@ -103,9 +103,9 @@ def test_count_laws_by_exhaustive_enumeration():
 
 
 def test_dyck_generator_sorted_and_valid():
-    for m in range(1, 7):
+    for m in range(0, 8):
         words = list(dyck_words(m))
-        assert len(words) == catalan(m)
+        assert len(words) == len(set(words)) == catalan(m)
         keys = [word_key(d) for d in words]
         assert keys == sorted(keys)
         for d in words:
