@@ -155,7 +155,6 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     _charge(budget, steps)
     field = f.field
     p = field.p
-    elems = [field.from_int(t) for t in range(p)]
     fvals = {w: c.value for w, c in f.terms.items()}
     found = {}
     for assignment in product(range(p), repeat=len(read)):
@@ -172,10 +171,11 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
         key = tuple(sorted(quot.items()))
         if key in found:
             continue
-        g = NcPoly(f.alphabet, field, {w: elems[t] for w, t in quot.items()})
+        g = NcPoly(f.alphabet, field, {w: field.from_int(t) for w, t in quot.items()})
         if g.degree != k or g.leading_coeff() != field.one:
             raise SoundnessError("left factor is not monic of degree %d" % k)
-        if g * NcPoly(f.alphabet, field, {v: elems[t] for v, t in eta.items()}) != f:
+        h = NcPoly(f.alphabet, field, {v: field.from_int(t) for v, t in eta.items()})
+        if g * h != f:
             raise SoundnessError("left factor times cofactor does not give f")
         found[key] = g
     return [found[key] for key in sorted(found)]

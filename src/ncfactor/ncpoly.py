@@ -301,9 +301,8 @@ def _divide_terms(fterms, gterms, left, p):
     multiplicative, so the leading word strictly drops, the quotient is
     unique and the loop ends.
     """
-    k = max(map(len, gterms))
-    # the largest word: the longest, and among those the least tuple
-    glm = min(w for w in gterms if len(w) == k)
+    glm = min(gterms, key=_order_key)
+    k = len(glm)
     if p:
         inv = pow(gterms[glm], -1, p)
         rest = [(w, -c % p, -len(w)) for w, c in gterms.items() if w != glm]
