@@ -80,17 +80,18 @@ def _plan(f, k):
 
     rows are the words v that can carry a cofactor coefficient (v with
     w0*v a word of f, or with w0[j:]*v such a word for some j), longest
-    first, each with f's coefficient at w0*v and the keys w0[j:]*v among
-    them.  read are the prefix indices j that some key reads; an unread
+    first, each with f's coefficient at w0*v (as an int) and the links
+    (j, w0[j:]*v) for the keys among them.  read are the prefix indices j
+    that some link reads; an unread
     prefix coefficient leaves h as it is, so only the read ones vary, the
     others staying 0.  The search costs p^len(read) * (len(rows) + 1)
     steps: every row, and one division, per assignment.
     """
     w0 = f.leading_monomial()[:k]
     suffixes = [w0[j:] for j in range(k)]
-    terms = f.terms
+    top = {w[k:]: c.value for w, c in f.terms.items() if w[:k] == w0}
     words = set()
-    todo = [w[k:] for w in terms if w[:k] == w0]
+    todo = list(top)
     while todo:
         v = todo.pop()
         if v not in words:
@@ -98,12 +99,9 @@ def _plan(f, k):
             for s in suffixes:
                 if v[:len(s)] == s:
                     todo.append(v[len(s):])
-    order = sorted(words, key=len, reverse=True)
-    links = [[(j, s + v) for j, s in enumerate(suffixes) if s + v in words] for v in order]
-    read = sorted({j for row in links for j, _ in row})
-    slot = {j: i for i, j in enumerate(read)}
-    rows = [(v, terms[w0 + v].value if w0 + v in terms else 0,
-             [(slot[j], key) for j, key in row]) for v, row in zip(order, links)]
+    rows = [(v, top.get(v, 0), [(j, s + v) for j, s in enumerate(suffixes) if s + v in words])
+            for v in sorted(words, key=len, reverse=True)]
+    read = sorted({j for _, _, links in rows for j, _ in links})
     return f.field.p ** len(read) * (len(rows) + 1), rows, read
 
 
@@ -157,11 +155,14 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     p = field.p
     fvals = {w: c.value for w, c in f.terms.items()}
     found = {}
-    for assignment in product(range(p), repeat=len(read)):
+    gamma = [0] * k
+    for values in product(range(p), repeat=len(read)):
+        for j, value in zip(read, values):
+            gamma[j] = value
         eta = {}
         for v, val, links in rows:
             for j, key in links:
-                val -= assignment[j] * eta.get(key, 0)
+                val -= gamma[j] * eta.get(key, 0)
             val %= p
             if val:
                 eta[v] = val
