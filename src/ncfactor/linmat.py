@@ -19,12 +19,20 @@ left ideal of a zero divisor and splits no further.
 A certificate (P, Q, factors) asserts P*L*Q = product of the factors as
 matrices over the free algebra; verification compares the coefficient
 matrix of every word on both sides, so degree-2 terms must cancel
-identically.
+identically.  Both sides are compared exactly, as integer matrices after
+clearing denominators: P, Q, L and each factor are scaled by the lcm of
+their own denominators, and each side is multiplied by the other's scale.
+
+`factor_3x3` computes the rational eigenvalues of each coefficient
+matrix once per call: the charpoly test, the right- and left-line
+searches and the 2x2 searches share one dict of them, which also serves
+a matrix's transpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
@@ -203,33 +211,73 @@ class Irreducible:
 
 # -- certificate verification ------------------------------------------
 
+def _cleared(mats):
+    """(s, [s*m for m in mats]) on integers, s > 0 the lcm of every
+    denominator in the group; each s*m as rows of its nonzero (column,
+    entry) pairs, or None when m is zero."""
+    s = lcm(*(x.denominator for m in mats for r in m.rows for x in r))
+    out = []
+    for m in mats:
+        rows = [[(j, x.numerator * (s // x.denominator)) for j, x in enumerate(r) if x]
+                for r in m.rows]
+        out.append(rows if any(rows) else None)
+    return s, out
+
+
 def _times(coeffs, lin):
-    """Coefficient matrices {word: C} of (sum_w C_w w) * lin: each word is
-    extended by lin's A0 (no letter) or A_i (letter x_i); zeros dropped."""
+    """Coefficient matrices {word: C} of (sum_w C_w w) * lin on integer
+    rows: each word is extended by lin's A0 (no letter) or A_i (letter
+    x_i), given as `_cleared` rows (None skips a zero coefficient); zero
+    products are dropped."""
     out = {}
     for word, c in coeffs.items():
-        for k, a in enumerate(lin.mats):
+        d = len(c)
+        for k, a in enumerate(lin):
+            if a is None:
+                continue
             key = word + (k - 1,) if k else word
-            prod = c * a
-            out[key] = out[key] + prod if key in out else prod
-    return {w: m for w, m in out.items() if not m.is_zero()}
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [[0] * d for _ in range(d)]
+            for row, acc_row in zip(c, acc):
+                for x, a_row in zip(row, a):
+                    if x:
+                        for j, y in a_row:
+                            acc_row[j] += x * y
+    return {w: m for w, m in out.items() if any(map(any, m))}
+
+
+def _product(groups, d):
+    """(s, {word: C}): s > 0 and the integer coefficient matrices of s
+    times the product of the groups, each a linear matrix's mats ([m]
+    for a constant m), every group scaled by its own `_cleared` factor."""
+    coeffs, scale = {(): [[int(i == j) for j in range(d)] for i in range(d)]}, 1
+    for mats in groups:
+        s, rows = _cleared(mats)
+        coeffs = _times(coeffs, rows)
+        scale *= s
+    return scale, coeffs
 
 
 def verify_cert(cert, L):
     """Exact check: P, Q invertible and P*L*Q = product of the factors,
     compared word by word as coefficient matrices (so quadratic terms
-    must cancel identically)."""
+    must cancel identically).
+
+    Both sides are multiplied out on integers, as s_lhs*P*L*Q and
+    s_rhs*(product) for positive scales (`_product`), so they agree
+    exactly when s_rhs*lhs_w == s_lhs*rhs_w for every word w."""
     if cert.p.nrows != L.d or cert.q.nrows != L.d:
         raise ValueError("certificate dimension mismatch")
-    if cert.p.inverse() is None or cert.q.inverse() is None:
+    if cert.p.det() == 0 or cert.q.det() == 0:
         return False
-    lhs = _times({(): cert.p}, L.rmul(cert.q))
-    rhs = {(): Matrix.identity(QQ, L.d)}
-    for factor in cert.factors:
-        if factor.d != L.d:
-            raise ValueError("factor dimension mismatch")
-        rhs = _times(rhs, factor)
-    return lhs == rhs
+    if any(factor.d != L.d for factor in cert.factors):
+        raise ValueError("factor dimension mismatch")
+    s_lhs, lhs = _product([[cert.p], L.mats, [cert.q]], L.d)
+    s_rhs, rhs = _product([factor.mats for factor in cert.factors], L.d)
+    return lhs.keys() == rhs.keys() and all(
+        s_rhs * x == s_lhs * y
+        for w, m in lhs.items() for row, rhs_row in zip(m, rhs[w]) for x, y in zip(row, rhs_row))
 
 
 def product_linear(factors):
@@ -294,11 +342,25 @@ def _normalize_line(w):
     return None
 
 
-def common_eigenlines(mats, side="right"):
+def _eigenvalues(m, roots):
+    """rational_roots of m's charpoly, looked up in the dict `roots` or
+    computed and stored there for m and its transpose, which has the
+    same charpoly."""
+    found = roots.get(m)
+    if found is None:
+        found = roots[m] = roots[m.transpose()] = rational_roots(m.charpoly())
+    return found
+
+
+def common_eigenlines(mats, side="right", roots=None):
     """All lines spanned by common eigenvectors of the matrices (one
     representative per all-scalar subspace), each with its eigenvalue
     tuple, sorted; dimension <= 3.  side='left' works with row vectors
-    w, w*A_i = lambda_i*w, via transposes."""
+    w, w*A_i = lambda_i*w, via transposes.  `roots`, a dict of
+    `_eigenvalues` shared by the calls of one search, saves computing a
+    charpoly's roots twice."""
+    if roots is None:
+        roots = {}
     if not mats:
         raise ValueError("need at least one matrix")
     if mats[0].nrows > 3:
@@ -317,7 +379,7 @@ def common_eigenlines(mats, side="right"):
             found.append(s.col(0))
             return
         a = work[pick]
-        for lam, _mult in rational_roots(a.charpoly()):
+        for lam, _mult in _eigenvalues(a, roots):
             shifted = a * s - s.scale(lam)
             kernel = shifted.nullspace()
             if not kernel:
@@ -407,14 +469,15 @@ def _all_scalar(mats):
     return lams
 
 
-def _charpoly_witness(L):
+def _charpoly_witness(L, roots):
     """Index of a coefficient matrix with Q-irreducible characteristic
-    polynomial (degree 2 or 3: irreducible iff no rational root)."""
+    polynomial (degree 2 or 3: irreducible iff no rational root); the
+    roots of every charpoly it computes are kept in the dict `roots`."""
     for i in range(1, L.n + 1):
         m = L.coeff(i)
         if m.is_zero():
             continue
-        if not rational_roots(m.charpoly()):
+        if not _eigenvalues(m, roots):
             return i
     return None
 
@@ -464,13 +527,14 @@ def _split(L, p, k, split_top, split_bottom):
     return _diag(pt, pb) * p, pinv * _diag(qt, qb), factors, flags
 
 
-def _eigen_split(L):
+def _eigen_split(L, roots):
     """The split of L (identity constant term, d = 2 or 3) along a common
     eigenline of its coefficients with the most nontrivial factors, or
     None when they have no common eigenline.  The first such candidate
-    is kept; one with two nontrivial factors ends the search."""
+    is kept; one with two nontrivial factors ends the search.  `roots`
+    is the search's dict of `_eigenvalues`."""
     best = None
-    for cand in _eigen_candidates(L):
+    for cand in _eigen_candidates(L, roots):
         count = cand[3].count(False)
         if best is None or count > best[3].count(False):
             best = cand
@@ -479,33 +543,35 @@ def _eigen_split(L):
     return best
 
 
-def _eigen_candidates(L):
+def _eigen_candidates(L, roots):
     """Splits of L along its common eigenlines, in order.  A right line w
     as the last basis vector leaves a 1x1 block at the bottom and the
     (d-1)x(d-1) block on top, which `_factor_small` splits further.  For
     d = 3 the left lines follow, computed only when the right ones are
     used up: w as the first row leaves the 1x1 block on top."""
     d, coeffs = L.d, L.mats[1:]
-    for w, _lams in common_eigenlines(coeffs, "right"):
+    small = lambda block: _factor_small(block, roots)
+    for w, _lams in common_eigenlines(coeffs, "right", roots):
         cols = _complete_basis([w], d)
         p = Matrix.from_cols(QQ, cols[1:] + cols[:1]).inverse()
-        yield _split(L, p, d - 1, _factor_small, _whole)
+        yield _split(L, p, d - 1, small, _whole)
     if d == 3:
-        for w, _lams in common_eigenlines(coeffs, "left"):
-            yield _split(L, Matrix(QQ, _complete_basis([w], d)), 1, _whole, _factor_small)
+        for w, _lams in common_eigenlines(coeffs, "left", roots):
+            yield _split(L, Matrix(QQ, _complete_basis([w], d)), 1, _whole, small)
 
 
-def _factor_small(L):
+def _factor_small(L, roots=None):
     """Complete factorization data (p, q, factors, flags) for a d<=2
     linear matrix with identity constant term.  Always returns a valid
-    certificate decomposition; the factor list may be a single atom."""
+    certificate decomposition; the factor list may be a single atom.
+    `roots` is the enclosing search's dict of `_eigenvalues`."""
     if L.d == 2 and L.degree:
         lams = _all_scalar(L.mats[1:])
         if lams is not None:
             return _scalar_family(lams, 2)
         # a coefficient without a rational eigenvalue leaves no common
         # eigenline, so the search then finds nothing
-        best = _eigen_split(L)
+        best = _eigen_split(L, {} if roots is None else roots)
         if best is not None:
             return best
     return _whole(L)
@@ -532,10 +598,12 @@ def factor_3x3(L):
 
     if L.degree == 0 or L.is_unit():
         return Irreducible("unit-linear-matrix")
-    if _charpoly_witness(L) is not None:
+    # the rational eigenvalues of every coefficient seen in this call
+    roots = {}
+    if _charpoly_witness(L, roots) is not None:
         return Irreducible("charpoly-irreducible")
     lams = _all_scalar(L.mats[1:])
-    found = _scalar_family(lams, 3) if lams is not None else _eigen_split(L)
+    found = _scalar_family(lams, 3) if lams is not None else _eigen_split(L, roots)
     if found is None or found[3].count(False) < 2:
         return Irreducible("exhausted-eigen-search")
     p, q, factors, flags = found

@@ -8,7 +8,8 @@ answers `rank`, `det`, `nullspace`, `inverse` and `pivot_cols`, the
 columns independent of those before them, and the characteristic
 polynomial, whose coefficients are sums of principal minors, each a
 `det` (dimensions are capped at 8, per the callers' needs).
-`rational_roots` bounds its trial divisions by ROOTS_MAX_TRIALS.
+`rational_roots` tests its candidates on the primitive integer
+polynomial and bounds its trial divisions by ROOTS_MAX_TRIALS.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def is_zero(self):
-        zero = self.field.zero
-        return all(x == zero for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -278,8 +278,10 @@ def upoly_eval(p, x):
 def rational_roots(coeffs):
     """Rational roots (with multiplicity) of a nonzero rational polynomial.
 
-    Uses the rational-root theorem on the primitive integer form; every
-    candidate is verified by exact substitution.  Degree is capped at 4.
+    Uses the rational-root theorem on the primitive integer form: each
+    candidate num/den (coprime) is tested by Horner on that form, as
+    den^deg * p(num/den), and the multiplicity of each root is found by
+    exact deflation.  Degree is capped at 4.
     Returns a sorted list of (root, multiplicity) pairs.  Raises
     BudgetExceededError when listing the divisors of the constant or the
     leading coefficient takes more than ROOTS_MAX_TRIALS trial divisions.
@@ -303,14 +305,17 @@ def rational_roots(coeffs):
         content = gcd(*ints)
         ints = [c // content for c in ints]
         a0, alead = abs(ints[0]), abs(ints[-1])
-        cands = set()
         dens = _divisors(alead)
-        for num in _divisors(a0):
-            for den in dens:
-                cands.add(Fraction(num, den))
-                cands.add(Fraction(-num, den))
-        for r in sorted(cands):
-            if upoly_eval(p, r) == 0:
+        cands = [(sign * num, den) for num in _divisors(a0) for den in dens
+                 if gcd(num, den) == 1 for sign in (1, -1)]
+        for num, den in cands:
+            # den^deg * p(num/den) by Horner on the integer form
+            acc, dpow = ints[-1], 1
+            for c in reversed(ints[:-1]):
+                dpow *= den
+                acc = acc * num + c * dpow
+            if acc == 0:
+                r = Fraction(num, den)
                 mult = 0
                 q = p
                 while len(q) > 1 and upoly_eval(q, r) == 0:

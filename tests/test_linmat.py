@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -278,25 +279,34 @@ def test_split_assembles_certificates_when_both_sides_split():
 LINMAT_OUTPUT_SHA256 = "d76dedbc31820482a06237220d17565af8241208e167f960c1acd5486bad8640"
 
 
-def test_linmat_outputs_are_pinned():
-    """Certificates are part of the CLI output: 40 reducible inputs, 10
-    Q-irreducible companions and 12 split quaternions, byte for byte."""
-    rng = random.Random(808)
-    out = []
+def _pinned_3x3_inputs(rng):
+    """The 3x3 inputs of `test_linmat_outputs_are_pinned`, in order: 40
+    reducible ones with identity constant term (the inputs of acceptance
+    8), then 10 companions with Q-irreducible charpoly."""
     for _ in range(40):
-        # the inputs of acceptance 8: identity constant term
-        cert = factor_3x3(LinearMatrix([I3] + list(_reducible_3x3(rng).mats[1:])))
-        assert isinstance(cert, FactorizationCert)
-        out.append(cert.to_text())
+        yield LinearMatrix([I3] + list(_reducible_3x3(rng).mats[1:]))
     companions = 0
     while companions < 10:
         a0, a1, a2 = rng.choice((-5, -3, -2, 2, 3, 5)), rng.randint(-4, 4), rng.randint(-4, 4)
         companion = Matrix.from_ints(QQ, [[0, 0, -a0], [1, 0, -a1], [0, 1, -a2]])
         if rational_roots(companion.charpoly()):
             continue
-        res = factor_3x3(LinearMatrix([I3, companion]))
-        out.append("irreducible %s\n" % res.reason)
+        yield LinearMatrix([I3, companion])
         companions += 1
+
+
+def test_linmat_outputs_are_pinned():
+    """Certificates are part of the CLI output: 40 reducible inputs, 10
+    Q-irreducible companions and 12 split quaternions, byte for byte."""
+    rng = random.Random(808)
+    out = []
+    for i, lin in enumerate(_pinned_3x3_inputs(rng)):
+        res = factor_3x3(lin)
+        if i < 40:
+            assert isinstance(res, FactorizationCert)
+            out.append(res.to_text())
+        else:
+            out.append("irreducible %s\n" % res.reason)
     while len(out) < 62:
         # beta = (a0^2 - alpha*a1^2) / a2^2 makes the norm of a0 + a1*u + a2*v vanish
         alpha = rng.choice([a for a in range(-9, 10) if a])
@@ -307,6 +317,32 @@ def test_linmat_outputs_are_pinned():
             out.append(zdiv_to_factorization(alpha, beta, z).to_text())
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == LINMAT_OUTPUT_SHA256
+
+
+def test_factor_3x3_computes_each_charpoly_once(monkeypatch):
+    """Within one `factor_3x3` call no matrix has its charpoly computed
+    twice, nor its transpose (the left-line search reuses the right
+    one's), on the reducible inputs and companions pinned above."""
+    seen = []
+    charpoly = Matrix.charpoly
+
+    def counted(self):
+        seen.append(self)
+        return charpoly(self)
+
+    monkeypatch.setattr(Matrix, "charpoly", counted)
+
+    def distinct_up_to_transpose(lin):
+        seen.clear()
+        factor_3x3(lin)
+        keys = [min(m.rows, m.transpose().rows) for m in seen]
+        assert len(keys) == len(set(keys)), keys
+        return len(keys)
+
+    counts = [distinct_up_to_transpose(lin) for lin in _pinned_3x3_inputs(random.Random(808))]
+    # a companion stops at its own charpoly, which has no rational root
+    assert counts[40:] == [1] * 10
+    assert sum(counts[:40]) > 80
 
 
 def test_product_linear():
@@ -541,6 +577,69 @@ def test_verify_cert_dimension_errors():
         verify_cert(FactorizationCert(I4, I4, [small], [False]), lin)
     singular = Matrix.zeros(QQ, 4, 4)
     assert not verify_cert(FactorizationCert(singular, I4, cert.factors, cert.unit_flags), lin)
+
+
+FRACTIONAL = (0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 7), Fraction(-3, 7),
+              Fraction(5, 11), Fraction(-4, 11))
+
+
+def _rand_fractional_invertible(rng, d):
+    while True:
+        m = Matrix(QQ, [[Fraction(rng.choice(FRACTIONAL)) for _ in range(d)] for _ in range(d)])
+        if m.det() != 0:
+            return m
+
+
+def _fractional_cert(cert, rng):
+    """The same certificate with fractional basis changes threaded through:
+    P' = D*P, Q' = Q*E_k and factors D*F_1*E_1, E_1^-1*F_2*E_2, ...,
+    E_(k-1)^-1*F_k*E_k, whose product is D*P*L*Q*E_k = P'*L*Q'."""
+    d = cert.p.nrows
+    rights = [_rand_fractional_invertible(rng, d) for _ in cert.factors]
+    lefts = [_rand_fractional_invertible(rng, d)] + [m.inverse() for m in rights[:-1]]
+    factors = [f.lmul(a).rmul(b) for f, a, b in zip(cert.factors, lefts, rights)]
+    return FactorizationCert(lefts[0] * cert.p, cert.q * rights[-1], factors, cert.unit_flags)
+
+
+def _common_denominator(mats):
+    return lcm(*(x.denominator for m in mats for r in m.rows for x in r))
+
+
+def test_verify_cert_tracks_scales():
+    """The integer check scales each group of matrices by its own lcm of
+    denominators: scales that cancel between P and Q still verify, and
+    scales that do not are rejected, as by the symbolic reference."""
+    rng = random.Random(6011)
+    certs = []
+    while len(certs) < 3:
+        lin = _reducible_3x3(rng)
+        res = factor_3x3(lin)
+        if isinstance(res, FactorizationCert):
+            certs.append((_fractional_cert(res, rng), lin))
+    cert = zdiv_to_factorization(4, 3, Quaternion(4, 3, (0, 0, 2, 1)))
+    certs.append((_fractional_cert(cert, rng), quaternion_linmat(4, 3)))
+    third = Fraction(1, 3)
+    for cert, lin in certs:
+        groups = [[cert.p], [cert.q]] + [f.mats for f in cert.factors]
+        scales = [_common_denominator(g) for g in groups]
+        assert all(s % 2 == 0 or s % 7 == 0 or s % 11 == 0 for s in scales)
+        assert lcm(*scales) % (2 * 7 * 11) == 0
+        assert verify_cert(cert, lin) and ref_verify_cert(cert, lin)
+        balanced = FactorizationCert(cert.p.scale(third), cert.q.scale(3), cert.factors,
+                                     cert.unit_flags)
+        assert verify_cert(balanced, lin)
+        lopsided = FactorizationCert(cert.p.scale(third), cert.q, cert.factors,
+                                     cert.unit_flags)
+        assert not verify_cert(lopsided, lin)
+        k = rng.randrange(len(cert.factors))
+        mats = list(cert.factors[k].mats)
+        mats[0] = mats[0].scale(Fraction(2, 7))
+        factors = list(cert.factors)
+        factors[k] = LinearMatrix(mats)
+        shrunk = FactorizationCert(cert.p, cert.q, factors, cert.unit_flags)
+        assert not verify_cert(shrunk, lin)
+        for bad in _corruptions(cert, rng):
+            assert verify_cert(bad, lin) == ref_verify_cert(bad, lin)
 
 
 def ref_is_unit(lin):

@@ -96,6 +96,48 @@ def test_rational_roots_degree_cap_and_zero():
         rational_roots((Fraction(0),))
 
 
+def _upoly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_match_constructed_roots():
+    """c * prod (b_i t - a_i)^m_i, degree <= 4, sometimes times t^2 - 2 or
+    t^2 + 1 (no rational roots): the roots and multiplicities are known."""
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(200):
+        extra = rng.choice(((), (), (-2, 0, 1), (1, 0, 1)))
+        budget = 4 - (2 if extra else 0)
+        expected = {}
+        poly = [Fraction(rng.choice((1, -1, 2, -3, 6, 10)), rng.choice((1, 1, 3, 7, 35)))]
+        if extra:
+            poly = _upoly_mul(poly, [Fraction(c) for c in extra])
+        while budget and rng.random() < 0.8:
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            mult = rng.randint(1, budget)
+            budget -= mult
+            expected[root] = expected.get(root, 0) + mult
+            for _ in range(mult):
+                poly = _upoly_mul(poly, [Fraction(-root.numerator), Fraction(root.denominator)])
+        assert rational_roots(tuple(poly)) == sorted(expected.items())
+        seen.update(("zero" if r == 0 else "negative" if r < 0 else "positive")
+                    for r in expected)
+        seen.update("fractional" for r in expected if r.denominator > 1)
+        seen.update("repeated" for m in expected.values() if m > 1)
+        if abs(poly[-1]) != 1:
+            seen.add("leading")
+        if any(c.denominator > 1 for c in poly):
+            seen.add("rational")
+        if extra:
+            seen.add(extra)
+    assert seen == {"zero", "negative", "positive", "fractional", "repeated", "leading",
+                    "rational", (-2, 0, 1), (1, 0, 1)}
+
+
 def test_nullspace_examples():
     assert len(Matrix.zeros(QQ, 2, 2).nullspace()) == 2
     assert Matrix.identity(QQ, 2).nullspace() == []
