@@ -9,8 +9,9 @@ factor starts with y, which nothing matches).  The per-letter transition
 matrices turn that scan into a matrix substitution: entry (q0, qf) of
 g'(M_x, M_y) is the nonconstant part of the preimage g, and entry
 (q0, q0) holds the constant term (q0 has no incoming transitions).
-M_x and M_y are not stored: each row has at most one nonzero entry, and
-the recovery routines read those entries straight from `delta`.
+Each row of M_x and M_y has at most one nonzero entry, so the automaton
+is stored as those entries alone, one move table per letter, and the
+recovery routines read the tables directly.
 
 Only row q0 of g'(M_x, M_y) is read, so recovery follows the scan from
 q0 and never touches the rest: `recover_circuit` first finds the rows of
@@ -27,49 +28,43 @@ from ncfactor.errors import SoundnessError
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, X, Y
 
-OUT_ZERO = 0
-OUT_ONE = 1
-
-
 class SubstAutomaton:
-    """Deterministic automaton with per-transition outputs in X u {0, 1}.
+    """Deterministic automaton whose transitions output a variable or nothing.
 
     States: 0 = q0 (start, no incoming transitions), 1 = trie root,
-    2..  = deeper trie states, then qf (accept) and qr (absorbing reject).
-    Outputs are encoded as 0, 1, or ("var", i).
+    2..  = deeper trie states, then qf (accept) and qr (reject).
+    moves = (mx, my): moves[letter] maps a state q to (q', out), the one
+    nonzero entry (q, q') of M_letter, in ascending q; out is the index of
+    the variable emitted, or None.  A state missing from moves[letter]
+    has a zero row there: the scan dies, which `run` reports as qr.
     """
 
-    __slots__ = ("wordset", "n_states", "q0", "root", "qf", "qr", "delta")
+    __slots__ = ("n_vars", "n_states", "q0", "root", "qf", "qr", "moves")
 
-    def __init__(self, wordset, n_trie_states, delta):
-        self.wordset = wordset
-        self.n_states = n_trie_states + 3
+    def __init__(self, n_vars, qf, moves):
+        self.n_vars = n_vars
+        self.n_states = qf + 2
         self.q0 = 0
         self.root = 1
-        self.qf = n_trie_states + 1
-        self.qr = n_trie_states + 2
-        self.delta = delta
-
-    @property
-    def n_vars(self):
-        return self.wordset.n
+        self.qf = qf
+        self.qr = qf + 1
+        self.moves = moves
 
     def run(self, word):
         """Scan a word from q0: (end state, scalar, emitted variable word).
 
-        The scalar is 0 exactly when some transition output 0 on the way.
+        The scalar is 0, and the end state qr, exactly when some letter
+        has no move on the way.
         """
         state = self.q0
         emitted = []
-        dead = False
         for letter in word:
-            state, out = self.delta[(state, letter)]
-            if out == OUT_ZERO:
-                dead = True
-            elif out != OUT_ONE:
-                emitted.append(out[1])
-        if dead:
-            return state, 0, ()
+            move = self.moves[letter].get(state)
+            if move is None:
+                return self.qr, 0, ()
+            state, out = move
+            if out is not None:
+                emitted.append(out)
         return state, 1, tuple(emitted)
 
 
@@ -83,69 +78,45 @@ def build_automaton(wordset):
     shorter word (a balanced prefix of a Dyck continuation cannot be
     followed by y), reading x walks deeper, so determinism survives.
     """
-    middles = [w[1:-1] for w in wordset.words]
-    # trie over the middles; root = state 1, q0 = 0
-    children = {}
+    # the trie's edges go straight into the move tables; root = state 1
+    mx, my = moves = ({}, {})
     accept = {}
     next_state = 2
-    for i, mid in enumerate(middles):
+    for i, word in enumerate(wordset):
         node = 1
-        for letter in mid:
-            key = (node, letter)
-            if key not in children:
-                children[key] = next_state
+        for letter in word[1:-1]:
+            move = moves[letter].get(node)
+            if move is None:
+                move = moves[letter][node] = (next_state, None)
                 next_state += 1
-            node = children[key]
+            node = move[0]
         if node in accept:
             raise SoundnessError("words %d and %d share a middle" % (accept[node], i))
         accept[node] = i
 
-    # states: q0 = 0, trie = 1..next_state-1, then qf, qr
     qf = next_state
-    qr = next_state + 1
-
-    delta = {}
-    delta[(0, X)] = (1, OUT_ONE)
-    delta[(0, Y)] = (qr, OUT_ZERO)
-    for node in range(1, next_state):
-        for letter in (X, Y):
-            child = children.get((node, letter))
-            if letter == Y and node in accept:
-                if child is not None:
-                    raise SoundnessError("a word continues with y past the end of "
-                                         "word %d" % accept[node])
-                delta[(node, letter)] = (qf, ("var", accept[node]))
-            elif child is not None:
-                delta[(node, letter)] = (child, OUT_ONE)
-            else:
-                delta[(node, letter)] = (qr, OUT_ZERO)
-    delta[(qf, X)] = (1, OUT_ONE)
-    delta[(qf, Y)] = (qr, OUT_ZERO)
-    delta[(qr, X)] = (qr, OUT_ZERO)
-    delta[(qr, Y)] = (qr, OUT_ZERO)
-
-    return SubstAutomaton(wordset, next_state - 1, delta)
+    for node in sorted(accept):
+        if node in my:
+            raise SoundnessError("a word continues with y past the end of "
+                                 "word %d" % accept[node])
+        my[node] = (qf, accept[node])
+    mx[0] = mx[qf] = (1, None)
+    return SubstAutomaton(wordset.n, qf, (dict(sorted(mx.items())), dict(sorted(my.items()))))
 
 
-def _moves(automaton, letter):
-    """Nonzero entries (q, q', out) of M_letter in `delta` order, which is
-    row-major: at most one per row, 0 entries left out."""
-    return [(q, nxt, out) for (q, a), (nxt, out) in automaton.delta.items()
-            if a == letter and out != OUT_ZERO]
-
-
-def _demand(c, automaton, moves):
+def _demand(c, automaton):
     """Demand pass: the rows of each gate's grid that row q0 of the output
     reads, as need[gate] = set of rows.
 
-    Row i of a VAR grid reaches one `delta` successor, row i of a CONST
+    Row i of a VAR grid reaches the target of row i's move in the
+    letter's move table (nothing when it has none), row i of a CONST
     grid its own column; ADD reads both operands at row i; MUL reads its
     left operand at row i and its right operand at every column k that
     the left's row i reaches.  Each (gate, row) is resolved once, on an
     explicit stack, so shared gates are not re-walked and deep circuits
     do not recurse.  cols[(gate, row)] holds the columns the row reaches.
     """
-    succ = tuple({i: j for i, j, _out in m} for m in moves)
+    moves = automaton.moves
     zero = c.field.zero
     cols = {}
     stack = [(c.output, automaton.q0)]
@@ -158,8 +129,8 @@ def _demand(c, automaton, moves):
         gate = c.gates[g]
         kind = gate[0]
         if kind == "var":
-            j = succ[gate[1]].get(i)
-            cols[key] = set() if j is None else {j}
+            move = moves[gate[1]].get(i)
+            cols[key] = set() if move is None else {move[0]}
         elif kind == "const":
             cols[key] = {i} if gate[1] != zero else set()
         else:
@@ -198,7 +169,7 @@ def recover_circuit(c, automaton):
     The build makes a subsequence of the gates that a full |Q|-row build
     would make, in the same order: rows are filled in the operands' grid
     order, the first VAR gate of a letter creates all of that letter's
-    output VAR gates in `delta` order, and every nonzero CONST gate
+    output VAR gates in ascending source state, and every nonzero CONST gate
     creates its constant.  Structurally zero entries are never
     materialized, and the result is pruned to gates reachable from the
     output.
@@ -207,8 +178,7 @@ def recover_circuit(c, automaton):
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     b = CircuitBuilder(out_alphabet, field)
     one_gate = b.const(field.one)
-    moves = (_moves(automaton, X), _moves(automaton, Y))
-    need = _demand(c, automaton, moves)
+    need = _demand(c, automaton)
     var_rows = [None, None]  # per letter: row -> ((row, col), gate)
 
     def mul_gates(g1, g2):
@@ -223,8 +193,8 @@ def recover_circuit(c, automaton):
         kind = g[0]
         if kind == "var":
             if var_rows[g[1]] is None:
-                var_rows[g[1]] = {i: ((i, j), one_gate if out == OUT_ONE else b.var(out[1]))
-                                  for i, j, out in moves[g[1]]}
+                var_rows[g[1]] = {i: ((i, j), one_gate if out is None else b.var(out))
+                                  for i, (j, out) in automaton.moves[g[1]].items()}
             entries = var_rows[g[1]]
             grid = dict(entries[i] for i in sorted(rows) if i in entries)
         elif kind == "const":
@@ -272,19 +242,15 @@ def recover_abp(p, automaton):
     """Block construction: node u becomes (u, q), numbered u*|Q| + q; one
     extra layer collects (sink, qf) and (sink, q0) with unit edges.  The
     edge from (u, q1) to (v, q2) carries entry (q1, q2) of
-    c0*I + cx*M_x + cy*M_y, so q2 ranges over q1, delta(q1, x), delta(q1, y).
-    Only pairs (u, q1) that the source (0, q0) reaches get edges: a
-    layer's live states are read off the nonzero edges written into it.
+    c0*I + cx*M_x + cy*M_y, so q2 ranges over q1 and the targets of q1's
+    moves on x and y.  Only pairs (u, q1) that the source (0, q0) reaches
+    get edges: a layer's live states are read off the nonzero edges
+    written into it.
     """
     nq = automaton.n_states
     field = p.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     q0, qf = automaton.q0, automaton.qf
-    rows = {}
-    for letter in (X, Y):
-        for q1, q2, out in _moves(automaton, letter):
-            word = () if out == OUT_ONE else (out[1],)
-            rows.setdefault(q1, []).append((q2, letter, word))
 
     sizes = [1]
     sizes.extend(s * nq for s in p.layer_sizes[1:])
@@ -300,8 +266,12 @@ def recover_abp(p, automaton):
             coeffs = (label.coeff((X,)), label.coeff((Y,)))
             for q1 in live.get(u, ()):
                 entries = {q1: [const]}
-                for q2, letter, word in rows.get(q1, ()):
-                    entries.setdefault(q2, []).append((word, coeffs[letter]))
+                for letter in (X, Y):
+                    move = automaton.moves[letter].get(q1)
+                    if move is not None:
+                        q2, out = move
+                        word = () if out is None else (out,)
+                        entries.setdefault(q2, []).append((word, coeffs[letter]))
                 for q2, terms in entries.items():
                     lbl = NcPoly(out_alphabet, field, terms)
                     if lbl:
@@ -323,14 +293,13 @@ def recover_blackbox(bb, automaton, field):
     nq = automaton.n_states
     q0, qf = automaton.q0, automaton.qf
     bivariate = Alphabet.bivariate()
-    moves = (_moves(automaton, X), _moves(automaton, Y))
 
     def big_matrix(letter, assignment):
         n = assignment.dim
         rows = [[field.zero] * (nq * n) for _ in range(nq * n)]
         ident = Matrix.identity(field, n)
-        for i, j, out in moves[letter]:
-            block = ident if out == OUT_ONE else assignment.mats[out[1]]
+        for i, (j, out) in automaton.moves[letter].items():
+            block = ident if out is None else assignment.mats[out]
             for r in range(n):
                 rows[i * n + r][j * n:(j + 1) * n] = block[r]
         return Matrix(field, rows)

@@ -42,11 +42,16 @@ class MatrixAssignment:
     @classmethod
     def random(cls, alphabet, field, dim, rng):
         """Seeded sample: entries from {-3..3} over Q, uniform over F_p;
-        refused when one product would pass EXPAND_BUDGET multiplications."""
+        refused when one product would pass EXPAND_BUDGET multiplications
+        or the matrices EXPAND_BUDGET entries."""
         if dim ** 3 > EXPAND_BUDGET:
             raise BudgetExceededError(
                 "a %d x %d matrix product needs %d scalar multiplications, limit %d"
                 % (dim, dim, dim ** 3, EXPAND_BUDGET))
+        if alphabet.size * dim * dim > EXPAND_BUDGET:
+            raise BudgetExceededError(
+                "%d matrices of size %d x %d hold %d entries, limit %d"
+                % (alphabet.size, dim, dim, alphabet.size * dim * dim, EXPAND_BUDGET))
         if isinstance(field, RationalField):
             draw = lambda: field.from_int(rng.randint(-3, 3))
         else:
@@ -238,7 +243,7 @@ class Circuit:
         for k, g in enumerate(self.gates):
             kind = g[0]
             if kind == "var":
-                lines.append("g%d = VAR %s" % (k, self.alphabet.names[g[1]]))
+                lines.append("g%d = VAR %s" % (k, self.alphabet.word_to_str((g[1],))))
             elif kind == "const":
                 lines.append("g%d = CONST %s" % (k, self.field.format(g[1])))
             else:
@@ -449,6 +454,9 @@ class Abp:
         field = parse_field(head["field"])
         alphabet = Alphabet.parse_spec(head["alphabet"])
         n_layers = int(head["layers"])
+        if n_layers - 1 > len(lines):
+            raise FormatError("%d layers need a layer line per gap, got %d body lines"
+                              % (n_layers, len(lines)))
         edges = [dict() for _ in range(n_layers - 1)]
         current = None
         for ln in lines:
@@ -461,6 +469,9 @@ class Abp:
                     raise FormatError("edge before any layer line")
                 parts = ln.split(None, 3)
                 u, v = int(parts[1]), int(parts[2])
+                if max(u, v) >= EXPAND_BUDGET:
+                    raise BudgetExceededError("edge %d %d: a layer of more than %d nodes"
+                                              % (u, v, EXPAND_BUDGET))
                 edges[current][(u, v)] = affine_from_str(parts[3], alphabet, field)
             else:
                 raise FormatError("bad abp line %r" % ln)
@@ -476,8 +487,8 @@ class Abp:
 
 def affine_to_str(label):
     """Canonical affine syntax: c0 + c1*x + c2*y with zero terms omitted."""
-    fmt, names = label.field.format, label.alphabet.names
-    parts = ["%s*%s" % (fmt(c), names[w[0]]) if w else fmt(c)
+    fmt, name = label.field.format, label.alphabet.word_to_str
+    parts = ["%s*%s" % (fmt(c), name(w)) if w else fmt(c)
              for w, c in sorted(label.terms.items())]
     return " + ".join(parts) if parts else "0"
 

@@ -91,8 +91,7 @@ def cmd_embed(args):
 
 def cmd_recover(args):
     obj = _load_any(args.input)
-    embedding = Embedding.for_variables(args.nvars, args.mode)
-    automaton = build_automaton(embedding.wordset)
+    automaton = build_automaton(enumerate_words(args.nvars, args.mode))
     if isinstance(obj, Circuit):
         out = recover_circuit(obj, automaton).to_text()
     elif isinstance(obj, Abp):

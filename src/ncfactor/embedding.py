@@ -18,15 +18,13 @@ from ncfactor.words import enumerate_words, is_minimally_balanced
 class Embedding:
     """Embedding data: the word set and per-variable image polynomials."""
 
-    __slots__ = ("wordset", "source_alphabet", "target_alphabet", "_image_cache",
-                 "_formula_cache")
+    __slots__ = ("wordset", "source_alphabet", "target_alphabet", "_image_cache")
 
     def __init__(self, wordset):
         self.wordset = wordset
         self.source_alphabet = Alphabet.nvars(wordset.n)
         self.target_alphabet = Alphabet.bivariate()
         self._image_cache = {}
-        self._formula_cache = {}
 
     @classmethod
     def for_variables(cls, n, mode="compact"):
@@ -51,13 +49,9 @@ class Embedding:
     def formula(self, field, i):
         """Bivariate circuit computing v_i + bar(v_i): two balanced product
         trees over the letters joined by one addition."""
-        key = (field, i)
-        if key not in self._formula_cache:
-            b = CircuitBuilder(self.target_alphabet, field)
-            w = self.word(i)
-            out = b.add(b.word(w), b.word(bar(w)))
-            self._formula_cache[key] = b.build(out)
-        return self._formula_cache[key]
+        b = CircuitBuilder(self.target_alphabet, field)
+        w = self.word(i)
+        return b.build(b.add(b.word(w), b.word(bar(w))))
 
 
 def phi_poly(f, embedding):

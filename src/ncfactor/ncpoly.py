@@ -38,32 +38,27 @@ Y = 1
 
 
 class Alphabet:
-    """Ordered set of variable names; words index into it."""
+    """The letters x, y (bivariate) or x1..x<n>; words index into it.
 
-    __slots__ = ("names", "_index")
+    A name is spelled from its letter index when it is written and read
+    back by its digits, so x1..x<n> holds n, not n names.
+    """
 
-    def __init__(self, names):
-        names = tuple(names)
-        if not names:
+    __slots__ = ("size", "is_bivariate")
+
+    def __init__(self, size, is_bivariate):
+        if size < 1:
             raise ValueError("empty alphabet")
-        self.names = names
-        self._index = None
+        self.size = size
+        self.is_bivariate = is_bivariate
 
     @classmethod
     def bivariate(cls):
-        return cls(("x", "y"))
+        return cls(2, True)
 
     @classmethod
     def nvars(cls, n):
-        return cls(tuple("x%d" % (i + 1) for i in range(n)))
-
-    @property
-    def size(self):
-        return len(self.names)
-
-    @property
-    def is_bivariate(self):
-        return self.names == ("x", "y")
+        return cls(n, False)
 
     def spec(self):
         if self.is_bivariate:
@@ -79,17 +74,24 @@ class Alphabet:
         raise FormatError("bad alphabet spec %r" % text)
 
     def index(self, name):
-        """The letter of a name (KeyError if unknown), from a map built once."""
-        if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.names)}
-        return self._index[name]
+        """The letter of a name spelled as `word_to_str` spells it: x or y,
+        or x<i> with ASCII digits and no leading zero, 1 <= i <= n.  Any
+        other spelling raises KeyError."""
+        if self.is_bivariate:
+            return _XY_INDEX[name]
+        digits = name[1:]
+        if name[:1] == "x" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+            i = int(digits)
+            if i <= self.size:
+                return i - 1
+        raise KeyError(name)
 
     def word_to_str(self, word):
         if not word:
             return "1"
         if self.is_bivariate:
-            return "".join(self.names[c] for c in word)
-        return ".".join(self.names[c] for c in word)
+            return "".join("xy"[c] for c in word)
+        return ".".join("x%d" % (c + 1) for c in word)
 
     def word_from_str(self, text):
         if text == "1":
@@ -98,13 +100,17 @@ class Alphabet:
         return tuple(self.index(tok) for tok in tokens)
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.names == other.names
+        return (isinstance(other, Alphabet) and self.size == other.size
+                and self.is_bivariate == other.is_bivariate)
 
     def __hash__(self):
-        return hash(self.names)
+        return hash((self.size, self.is_bivariate))
 
     def __repr__(self):
-        return "Alphabet(%s)" % (self.names,)
+        return "Alphabet(%s)" % self.spec()
+
+
+_XY_INDEX = {"x": X, "y": Y}
 
 
 def word_key(word):

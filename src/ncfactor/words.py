@@ -94,19 +94,17 @@ def paper_family_words(length):
 
 
 class WordSet:
-    """An ordered list of n distinct minimally balanced words."""
+    """An ordered list of n distinct minimally balanced words, kept as
+    given: `enumerate_words` builds them so, and `build_automaton`
+    refuses a set in which two words share a middle or one word goes on
+    with y where another ends."""
 
     __slots__ = ("n", "words", "mode")
 
     def __init__(self, words, mode):
-        words = tuple(tuple(w) for w in words)
+        words = tuple(words)
         if not words:
             raise ValueError("empty word set")
-        for w in words:
-            if not is_minimally_balanced(w):
-                raise ValueError("word is not minimally balanced")
-        if len(set(words)) != len(words):
-            raise ValueError("duplicate words")
         self.n = len(words)
         self.words = words
         self.mode = mode

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from ncfactor.automaton import (OUT_ONE, OUT_ZERO, _moves, build_automaton, recover_abp,
-                                recover_blackbox, recover_circuit, reduce_and_recover)
+from ncfactor.automaton import (build_automaton, recover_abp, recover_blackbox, recover_circuit,
+                                reduce_and_recover)
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
@@ -37,61 +37,62 @@ def rand_poly(rng, n, field, max_deg=3, max_terms=4, ensure_nonzero=False):
 
 def test_build_automaton_single_word():
     a = build_automaton(WordSet([w("xy")], "compact"))
-    assert a.n_states == 4
+    assert a.n_states == 4 and a.n_vars == 1
     q0, q1, qf, qr = a.q0, a.root, a.qf, a.qr
-    assert a.delta[(q0, 0)] == (q1, OUT_ONE)
-    assert a.delta[(q0, 1)] == (qr, OUT_ZERO)
-    assert a.delta[(q1, 1)] == (qf, ("var", 0))
-    assert a.delta[(q1, 0)] == (qr, OUT_ZERO)
-    assert a.delta[(qf, 0)] == (q1, OUT_ONE)
-    assert a.delta[(qf, 1)] == (qr, OUT_ZERO)
-    assert a.delta[(qr, 0)] == (qr, OUT_ZERO)
-    assert a.delta[(qr, 1)] == (qr, OUT_ZERO)
+    assert (q0, q1, qf, qr) == (0, 1, 2, 3)
+    mx, my = a.moves
+    assert mx == {q0: (q1, None), qf: (q1, None)}
+    assert my == {q1: (qf, 0)}
+    # absent entries are the zero rows: y from q0, x from the root, y from
+    # qf, and nothing at all out of qr
+    assert q0 not in my and q1 not in mx and qf not in my
+    assert qr not in mx and qr not in my
 
 
 def test_build_automaton_mixed_lengths():
     a = build_automaton(WordSet([w("xy"), w("xxyy")], "compact"))
     # q0, root, two deeper trie states, qf (plus the reject state)
     assert a.n_states - 1 == 5
+    mx, my = a.moves
     # after reading x we sit at the root: accept point for xy, interior for xxyy
-    state, out = a.delta[(a.q0, 0)]
-    assert state == a.root and out == OUT_ONE
-    nxt, out = a.delta[(a.root, 1)]
-    assert nxt == a.qf and out == ("var", 0)
-    deeper, out = a.delta[(a.root, 0)]
-    assert deeper not in (a.qf, a.qr) and out == OUT_ONE
+    assert mx[a.q0] == (a.root, None)
+    assert my[a.root] == (a.qf, 0)
+    deeper, out = mx[a.root]
+    assert deeper not in (a.qf, a.qr) and out is None
+    nxt, out = my[deeper]
+    assert my[nxt] == (a.qf, 1) and out is None
+    assert a.qr not in mx and a.qr not in my
 
 
 def test_build_automaton_paper_depth():
     ws = enumerate_words(1, "paper")
     a = build_automaton(ws)
-    # root-to-leaf path of the trie has length 2l - 2 = 12
+    # root-to-leaf path of the trie has length 2l - 2 = 12, emitting nothing
     state = a.root
     depth = 0
     mid = ws.words[0][1:-1]
     for letter in mid:
-        state, out = a.delta[(state, letter)]
-        assert out == OUT_ONE or out[0] == "var"
+        state, out = a.moves[letter][state]
+        assert out is None
         depth += 1
     assert depth == 12
+    assert a.moves[Y][state] == (a.qf, 0)
 
 
 def test_transition_matrix_entries():
-    """The nonzero entries of M_x and M_y, read from `delta` row by row."""
-    a = build_automaton(WordSet([w("xy")], "compact"))
-    mx = {(q, q2): out for q, q2, out in _moves(a, X)}
-    my = {(q, q2): out for q, q2, out in _moves(a, Y)}
-    q0, q1, qf = a.q0, a.root, a.qf
-    assert mx[(q0, q1)] == OUT_ONE
-    assert mx[(qf, q1)] == OUT_ONE
-    assert my[(q1, qf)] == ("var", 0)
-    assert OUT_ZERO not in mx.values() and OUT_ZERO not in my.values()
-    # determinism: at most one nonzero per row per letter, rows in order
-    for letter in (X, Y):
-        rows = [q for q, _, _ in _moves(a, letter)]
-        assert rows == sorted(set(rows))
+    """The nonzero entries of M_x and M_y are the move tables, one entry
+    per row at most, rows in ascending order."""
+    a = build_automaton(WordSet([w("xy"), w("xxyy"), w("xxyxyy")], "compact"))
+    for table in a.moves:
+        assert list(table) == sorted(table)
+        assert all(0 <= q < a.qr and 0 < q2 < a.qr for q, (q2, _out) in table.items())
     # rule 1: reading y from the start state kills everything
-    assert all(q != q0 for q, _ in my)
+    assert a.q0 not in a.moves[Y]
+    # every transition into qf emits, and it emits its word's variable
+    into_qf = sorted(out for table in a.moves for q2, out in table.values() if q2 == a.qf)
+    assert into_qf == [0, 1, 2]
+    assert a.run(w("xyxxyyxxyxyy")) == (a.qf, 1, (0, 1, 2))
+    assert a.run(w("xyy")) == (a.qr, 0, ())
 
 
 def test_kill_and_parse_properties_exhaustive():

@@ -9,14 +9,18 @@ exception may escape `cli.main`.
 
 Sizes that once exhausted memory run as named probes in a child process
 with a capped address space and a timeout; each must end in
-`error: budget:` with exit 2.  Files over wide alphabets, whose parsing
-and printing once cost time in the alphabet size for every line, must
-round-trip through a capped child process in a few seconds.
+`error: budget:` with exit 2.  Seeded size mutations of the fields a
+reader allocates from (`layers=`, `alphabet=x1..x<n>`, gate and node
+indices) run the same way and must exit 0, 1 or 2 with no traceback.
+Files over wide alphabets, whose parsing and printing once cost time in
+the alphabet size for every line, must round-trip through a capped
+child process in a few seconds.
 """
 
 import contextlib
 import io
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -139,6 +143,50 @@ def test_huge_sizes_end_in_a_budget_error(args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: budget:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+F_NCC = (GOLDEN / "inputs" / "f.ncc").read_text()
+OVERSIZES = (10 ** 6, 3 * 10 ** 6, 10 ** 9, 10 ** 12)
+
+
+def _layers(size, rng):
+    return ABP.replace("layers=3", "layers=%d" % size)
+
+
+def _alphabet(size, rng):
+    return rng.choice((ABP, F_NCC)).replace("alphabet=x1..x2", "alphabet=x1..x%d" % size)
+
+
+def _gate_index(size, rng):
+    ref = rng.choice(list(re.finditer(r"\bg\d+\b", F_NCC)))
+    return F_NCC[:ref.start()] + "g%d" % size + F_NCC[ref.end():]
+
+
+def _node_index(size, rng):
+    """Renumber the middle-layer end of one edge (the seed has three layers)."""
+    lines = ABP.splitlines()
+    i = rng.choice([i for i, ln in enumerate(lines) if ln.startswith("edge ")])
+    parts = lines[i].split(" ", 3)
+    parts[2 if i < lines.index("layer 1") else 1] = str(size)
+    lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+SIZE_MUTATIONS = {"layers": _layers, "alphabet": _alphabet, "gate-index": _gate_index,
+                  "node-index": _node_index}
+
+
+@pytest.mark.parametrize("kind", sorted(SIZE_MUTATIONS))
+def test_oversized_fields_exit_cleanly(tmp_path, kind):
+    rng = random.Random(sorted(SIZE_MUTATIONS).index(kind))
+    path = tmp_path / "mutant.txt"
+    for trial in range(4):
+        path.write_text(SIZE_MUTATIONS[kind](rng.choice(OVERSIZES) + rng.randrange(100), rng))
+        args = EVAL if trial % 2 else ["embed", "{}"]
+        proc = subprocess.run([sys.executable, "-m", "ncfactor.cli", *(a.format(path) for a in args)],
+                              capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+        assert proc.returncode in (0, 1, 2), (path.read_text(), proc.stderr)
+        assert "Traceback" not in proc.stderr, (path.read_text(), proc.stderr)
 
 
 def _wide_abp():

@@ -272,3 +272,17 @@ def test_serialization_formats():
     g = NcPoly(Alphabet.nvars(3), QQ, [((2, 0), QQ.one)])
     assert g.to_text() == "ncpoly field=Q alphabet=x1..x3\n1 x3.x1\n"
     assert NcPoly.from_text("ncpoly field=Q alphabet=xy\n").is_zero()
+
+
+def test_alphabet_reads_only_canonical_names():
+    """x1..x<n> holds n and reads a name back from its digits: only the
+    spelling `word_to_str` writes is a name."""
+    wide = Alphabet.nvars(12)
+    assert [wide.index(wide.word_to_str((i,))) for i in range(12)] == list(range(12))
+    for name in ("x01", "x0", "x13", "x+1", "x1_0", "x١", "x", "1", "y", "X1", ""):
+        with pytest.raises(KeyError):
+            wide.index(name)
+    assert [AB.index(name) for name in "xy"] == [0, 1]
+    with pytest.raises(KeyError):
+        AB.index("x1")
+    assert Alphabet.nvars(50000000).word_from_str("x50000000.x1") == (49999999, 0)

@@ -93,7 +93,6 @@ def test_automaton_guards_raise_soundness_error(monkeypatch):
     """Word sets that no enumeration produces break the automaton's
     invariants: the checks must name them, not build a wrong automaton."""
     bi = Alphabet.bivariate()
-    monkeypatch.setattr(words, "is_minimally_balanced", lambda word: True)
     shared_middle = WordSet([bi.word_from_str("xxyy"), bi.word_from_str("yxyx")], "compact")
     with pytest.raises(SoundnessError):
         build_automaton(shared_middle)

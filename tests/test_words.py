@@ -5,7 +5,7 @@ import pytest
 from ncfactor import words
 from ncfactor.errors import BudgetExceededError
 from ncfactor.ncpoly import Alphabet, word_key
-from ncfactor.words import (WordSet, catalan, dyck_words, enumerate_words,
+from ncfactor.words import (catalan, dyck_words, enumerate_words,
                             is_minimally_balanced, minimally_balanced_up_to,
                             paper_family_words)
 
@@ -126,10 +126,6 @@ def test_wordset_prefix_free():
 
 
 def test_wordset_validation():
-    with pytest.raises(ValueError):
-        WordSet([w("xy"), w("xy")], "compact")
-    with pytest.raises(ValueError):
-        WordSet([w("yx")], "compact")
     with pytest.raises(ValueError):
         enumerate_words(0, "compact")
     with pytest.raises(ValueError):
