@@ -154,6 +154,13 @@ def _demand(c, automaton):
     return need
 
 
+def _check_bivariate(obj):
+    """A ValueError unless obj is over x, y: the automaton reads only
+    those two letters, so any other alphabet has no preimage."""
+    if not obj.alphabet.is_bivariate:
+        raise ValueError("recovery expects an input over xy, not %s" % obj.alphabet.spec())
+
+
 def recover_circuit(c, automaton):
     """Symbolic matrix evaluation of a bivariate circuit at (M_x, M_y),
     restricted to the rows that the output reads.
@@ -174,6 +181,7 @@ def recover_circuit(c, automaton):
     materialized, and the result is pruned to gates reachable from the
     output.
     """
+    _check_bivariate(c)
     field = c.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     b = CircuitBuilder(out_alphabet, field)
@@ -247,6 +255,7 @@ def recover_abp(p, automaton):
     get edges: a layer's live states are read off the nonzero edges
     written into it.
     """
+    _check_bivariate(p)
     nq = automaton.n_states
     field = p.field
     out_alphabet = Alphabet.nvars(automaton.n_vars)
@@ -321,17 +330,18 @@ def recover_blackbox(bb, automaton, field):
 
 
 def reduce_and_recover(c, embedding, oracle):
-    """The full white-box pipeline: embed the circuit, hand the expanded
-    bivariate image to the factorization oracle, and pull each factor of
-    the first factorization back through the automaton.
+    """The full white-box pipeline: embed the circuit or ABP (by
+    `phi_circuit` or `phi_abp`), hand the expanded bivariate image to the
+    factorization oracle, and pull each factor of the first
+    factorization back through the automaton.
 
     Returns circuits over x_1..x_n whose expanded product is the input
     polynomial; the factors inherit irreducibility from the bivariate
     side.
     """
-    from ncfactor.embedding import phi_circuit
+    from ncfactor.embedding import phi_abp, phi_circuit
 
-    embedded = phi_circuit(c, embedding)
+    embedded = (phi_abp if isinstance(c, Abp) else phi_circuit)(c, embedding)
     image = embedded.expand()
     tree = oracle(image)
     if not tree.factorizations:

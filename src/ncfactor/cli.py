@@ -105,14 +105,10 @@ def cmd_recover(args):
 def cmd_reduce(args):
     obj = _load_any(args.input)
     if isinstance(obj, NcPoly):
-        circuit = circuit_from_poly(obj)
-    elif isinstance(obj, Circuit):
-        circuit = obj
-    else:
-        raise FormatError("reduce expects a polynomial or circuit file")
-    embedding = Embedding.for_variables(circuit.alphabet.size, args.mode)
+        obj = circuit_from_poly(obj)
+    embedding = Embedding.for_variables(obj.alphabet.size, args.mode)
     oracle = lambda poly: complete_factorizations(poly, args.budget)
-    factors = reduce_and_recover(circuit, embedding, oracle)
+    factors = reduce_and_recover(obj, embedding, oracle)
     lines = ["factors %d" % len(factors)]
     for i, factor in enumerate(factors, 1):
         lines.append("factor %d" % i)

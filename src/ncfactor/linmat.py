@@ -23,6 +23,9 @@ identically.  Both sides are compared exactly, as integer matrices after
 clearing denominators: P, Q, L and each factor are scaled by the lcm of
 their own denominators, and each side is multiplied by the other's scale.
 
+The common eigenlines come from one recursion over the coefficients in
+order, which narrows a subspace to each eigenspace of the next
+coefficient in turn, so every line carries its eigenvalue tuple.
 `factor_3x3` computes the rational eigenvalues of each coefficient
 matrix once per call: the charpoly test, the right- and left-line
 searches and the 2x2 searches share one dict of them, which also serves
@@ -319,22 +322,6 @@ def is_monic(L):
 
 # -- common eigenvector machinery --------------------------------------
 
-def _scalar_on(a, s):
-    """lambda with a*s = lambda*s for the subspace basis matrix s, or None."""
-    prod = a * s
-    lam = None
-    for i in range(s.nrows):
-        for j in range(s.ncols):
-            if s[i][j] != 0:
-                lam = prod[i][j] / s[i][j]
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        return None
-    return lam if prod == s.scale(lam) else None
-
-
 def _normalize_line(w):
     for c in w:
         if c != 0:
@@ -354,11 +341,16 @@ def _eigenvalues(m, roots):
 
 def common_eigenlines(mats, side="right", roots=None):
     """All lines spanned by common eigenvectors of the matrices (one
-    representative per all-scalar subspace), each with its eigenvalue
+    representative per common eigenspace), each with its eigenvalue
     tuple, sorted; dimension <= 3.  side='left' works with row vectors
     w, w*A_i = lambda_i*w, via transposes.  `roots`, a dict of
     `_eigenvalues` shared by the calls of one search, saves computing a
-    charpoly's roots twice."""
+    charpoly's roots twice.
+
+    On the subspace with basis matrix s, each eigenvalue lam of the next
+    matrix a narrows s to s * kernel(a*s - lam*s).  A matrix scalar on s
+    leaves s as it is (its one such kernel is all of s), and different
+    eigenvalue tuples give subspaces that meet only in 0."""
     if roots is None:
         roots = {}
     if not mats:
@@ -366,45 +358,20 @@ def common_eigenlines(mats, side="right", roots=None):
     if mats[0].nrows > 3:
         raise ValueError("common eigenline search capped at dimension 3")
     work = [m.transpose() for m in mats] if side == "left" else list(mats)
-    d = work[0].nrows
-    found = []
-
-    def rec(s, idx):
-        pick = None
-        for i in range(idx, len(work)):
-            if _scalar_on(work[i], s) is None:
-                pick = i
-                break
-        if pick is None:
-            found.append(s.col(0))
-            return
-        a = work[pick]
-        for lam, _mult in _eigenvalues(a, roots):
-            shifted = a * s - s.scale(lam)
-            kernel = shifted.nullspace()
-            if not kernel:
-                continue
-            rec(s * Matrix.from_cols(QQ, kernel), pick + 1)
-
-    rec(Matrix.identity(QQ, d), 0)
-
     out = []
-    seen = set()
-    for w in found:
-        w = _normalize_line(w)
-        if w is None or w in seen:
-            continue
-        lams = []
-        ok = True
-        for m in work:
-            lam = _scalar_on(m, Matrix.from_cols(QQ, [w]))
-            if lam is None:
-                ok = False
-                break
-            lams.append(lam)
-        if ok:
-            seen.add(w)
-            out.append((w, tuple(lams)))
+
+    def rec(s, lams):
+        if len(lams) == len(work):
+            out.append((_normalize_line(s.col(0)), lams))
+            return
+        a = work[len(lams)]
+        prod = a * s
+        for lam, _mult in _eigenvalues(a, roots):
+            kernel = (prod - s.scale(lam)).nullspace()
+            if kernel:
+                rec(s * Matrix.from_cols(QQ, kernel), lams + (lam,))
+
+    rec(Matrix.identity(QQ, work[0].nrows), ())
     out.sort()
     return out
 
@@ -458,28 +425,9 @@ def _scalar_family(lams, d):
 
 def _all_scalar(mats):
     """Per-matrix lambdas when every coefficient matrix is lambda*I."""
-    lams = []
-    d = mats[0].nrows
-    ident = Matrix.identity(QQ, d)
-    for m in mats:
-        lam = _scalar_on(m, ident)
-        if lam is None:
-            return None
-        lams.append(lam)
-    return lams
-
-
-def _charpoly_witness(L, roots):
-    """Index of a coefficient matrix with Q-irreducible characteristic
-    polynomial (degree 2 or 3: irreducible iff no rational root); the
-    roots of every charpoly it computes are kept in the dict `roots`."""
-    for i in range(1, L.n + 1):
-        m = L.coeff(i)
-        if m.is_zero():
-            continue
-        if not _eigenvalues(m, roots):
-            return i
-    return None
+    ident = Matrix.identity(QQ, mats[0].nrows)
+    lams = [m[0][0] for m in mats]
+    return lams if all(m == ident.scale(lam) for m, lam in zip(mats, lams)) else None
 
 
 def _diag(a, b):
@@ -600,7 +548,8 @@ def factor_3x3(L):
         return Irreducible("unit-linear-matrix")
     # the rational eigenvalues of every coefficient seen in this call
     roots = {}
-    if _charpoly_witness(L, roots) is not None:
+    # degree 2 or 3: a charpoly is Q-irreducible iff it has no rational root
+    if any(not _eigenvalues(m, roots) for m in L.mats[1:] if not m.is_zero()):
         return Irreducible("charpoly-irreducible")
     lams = _all_scalar(L.mats[1:])
     found = _scalar_family(lams, 3) if lams is not None else _eigen_split(L, roots)

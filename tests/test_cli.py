@@ -349,3 +349,43 @@ def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[0] == "factors 2"
     assert budgets[0] == 5 and set(budgets[1:]) == {cli.DEFAULT_BUDGET}
     assert cli.build_parser() is cli.build_parser()
+
+
+# `recover` reads only the letters x and y: any other alphabet is well
+# formed but has no preimage, so it is a domain error.
+NON_BIVARIATE = [
+    ("circuit-x1..x3", "ncc field=Q alphabet=x1..x3\ng0 = VAR x3\noutput g0\n"),
+    ("circuit-x1..x2", (GOLDEN / "inputs" / "f.ncc").read_text()),
+    ("abp-x1..x3", "ncabp field=Q alphabet=x1..x3 layers=2\nlayer 0\nedge 0 0 1 + 2*x3 + 1*x1\n"),
+]
+
+
+@pytest.mark.parametrize("text", [c[1] for c in NON_BIVARIATE], ids=[c[0] for c in NON_BIVARIATE])
+def test_recover_refuses_non_bivariate_input(tmp_path, capsys, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main(["recover", str(path), "--nvars", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: domain:")
+
+
+@pytest.mark.parametrize("mode", ["compact", "paper"])
+def test_reduce_of_an_abp_equals_reduce_of_its_expansion(tmp_path, capsys, mode):
+    """(x1 + 1)*x2 over F2 as a two-path ABP: reduce embeds it by
+    phi_abp and prints what it prints for the expanded polynomial."""
+    from ncfactor.circuits import Abp
+
+    ab2 = Alphabet.nvars(2)
+    x1, x2 = NcPoly.variable(ab2, GF2, 0), NcPoly.variable(ab2, GF2, 1)
+    one = NcPoly.one(ab2, GF2)
+    p = Abp(ab2, GF2, (1, 2, 1), [{(0, 0): x1, (0, 1): one}, {(0, 0): x2, (1, 0): x2}])
+    abp, poly = tmp_path / "p.ncabp", tmp_path / "p.poly"
+    abp.write_text(p.to_text())
+    poly.write_text(p.expand().to_text())
+    outs = []
+    for path in (abp, poly):
+        assert cli.main(["reduce", "--mode", mode, str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("factors 2\n")

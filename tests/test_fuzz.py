@@ -219,3 +219,61 @@ def test_wide_alphabets_round_trip_quickly(text):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == text
     assert elapsed < 3.0, elapsed
+
+
+def _circuit(field, alphabet, a, b):
+    return ("ncc field=%s alphabet=%s\ng0 = VAR %s\ng1 = VAR %s\ng2 = MUL g0 g1\n"
+            "g3 = CONST 1\ng4 = ADD g2 g3\noutput g4\n" % (field, alphabet, a, b))
+
+
+def _abp(field, alphabet, a, b):
+    return ("ncabp field=%s alphabet=%s layers=3\nlayer 0\nedge 0 0 1*%s\nedge 0 1 1\n"
+            "layer 1\nedge 0 0 1*%s\nedge 1 0 1*%s\n" % (field, alphabet, a, b, b))
+
+
+# One file of every kind the subcommands read: polynomials, circuits and
+# ABPs over xy and over x1..x3, each over F2 and Q, then a zero
+# polynomial, a circuit over x1..x2, a linear matrix, a certificate and
+# an empty file.
+CROSS_FILES = {
+    "%s-%s-%s" % (kind, name, field): make(field, alphabet, a, b)
+    for kind, make in (("poly", lambda f, al, a, b: "ncpoly field=%s alphabet=%s\n1 %s\n1 %s\n"
+                        % (f, al, a + ("" if al == "xy" else ".") + b, b)),
+                       ("circuit", _circuit), ("abp", _abp))
+    for name, alphabet, a, b in (("xy", "xy", "x", "y"), ("x1..x3", "x1..x3", "x1", "x3"))
+    for field in ("F2", "Q")
+}
+CROSS_FILES.update({
+    "zero-poly": "ncpoly field=Q alphabet=x1..x2\n",
+    "circuit-x1..x2": F_NCC,
+    "linmat": (GOLDEN / "inputs" / "companion.lm").read_text(),
+    "cert": CERT.read_text(),
+    "empty": "",
+})
+CROSS_COMMANDS = [
+    ["embed", "{}"], ["embed", "--mode", "paper", "{}"], ["recover", "{}", "--nvars", "3"],
+    ["reduce", "{}"], ["reduce", "--mode", "paper", "{}"], ["factor-dense", "{}"],
+    ["eval", "{}", "--dim", "2", "--seed", "1"], ["factor-linmat3", "{}"],
+    ["quaternion-fact2zdiv", "--alpha", "9", "--beta", "5", "{}"],
+    ["verify-cert", "{}", str(LINMAT)], ["verify-cert", str(CERT), "{}"],
+]
+
+
+def test_every_command_on_every_file_kind_exits_0_1_or_2(tmp_path):
+    """The exit-code contract, crossed: each subcommand that reads a file
+    runs on each kind of file, and no exception escapes `cli.main`."""
+    path = tmp_path / "input.txt"
+    codes = set()
+    for name, text in CROSS_FILES.items():
+        path.write_text(text)
+        for args in CROSS_COMMANDS:
+            argv = [a.format(path) for a in args]
+            try:
+                code, err = run(argv)
+            except Exception as exc:
+                pytest.fail("%r escaped cli.main on %s: %s" % (exc, name, " ".join(args)))
+            assert code in (0, 1, 2), (name, args)
+            if code == 1:
+                assert err.startswith("error: format:"), (name, args, err)
+            codes.add(code)
+    assert codes == {0, 1, 2}

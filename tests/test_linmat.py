@@ -345,6 +345,87 @@ def test_factor_3x3_computes_each_charpoly_once(monkeypatch):
     assert sum(counts[:40]) > 80
 
 
+# sha256 of the joined outputs of `test_eigen_search_outputs_are_pinned`,
+# recorded before the eigenline search became one recursion.
+EIGEN_SEARCH_SHA256 = "4c521e3fbf7ad456fd8f4a56e5025548fdf758ecd946edfc58974a22577ea238"
+
+
+def _conjugated_family(rng, d):
+    """One to three matrices p^-1 * T * p for one invertible p, each T
+    diagonal with entries in {-1, 0, 1} (so many are scalar on an
+    eigenspace of the others), upper triangular, or a scalar."""
+    p = rand_invertible(rng, d)
+    pinv = p.inverse()
+    mats = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("diag", "diag", "triangular", "scalar"))
+        if kind == "scalar":
+            t = Matrix.identity(QQ, d).scale(Fraction(rng.randint(-2, 2)))
+        else:
+            kept = lambda i, j: i == j or (kind == "triangular" and j > i)
+            t = Matrix(QQ, [[Fraction(rng.randint(-1, 1)) if kept(i, j) else Fraction(0)
+                             for j in range(d)] for i in range(d)])
+        mats.append(pinv * t * p)
+    return mats
+
+
+def _eigen_search_inputs(rng):
+    """(name, input) pairs: 120 eigenline searches at d = 2 and 3, then 80
+    3x3 linear matrices with non-identity constant terms."""
+    for k in range(120):
+        d = 2 + k % 2
+        if k % 5 == 4:
+            mats = [Matrix(QQ, [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)])
+                    for _ in range(rng.randint(1, 3))]
+        else:
+            mats = _conjugated_family(rng, d)
+        yield "lines", mats
+    for k in range(80):
+        a0 = rand_invertible(rng, 3)
+        kind = k % 4
+        if kind == 0:
+            coeffs = _reducible_3x3(rng).mats[1:]
+        elif kind == 1:
+            coeffs = _conjugated_family(rng, 3)
+        elif kind == 2:
+            # one family conjugated by unrelated bases: rarely a common line
+            coeffs = [_conjugated_family(rng, 3)[0] for _ in range(rng.randint(1, 2))]
+        else:
+            # strictly upper triangular (a unit) or a companion matrix
+            p = rand_invertible(rng, 3)
+            if rng.random() < 0.5:
+                upper = Matrix(QQ, [[Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)
+                                     for j in range(3)] for i in range(3)])
+                coeffs = [p.inverse() * upper * p]
+            else:
+                c0, c1, c2 = rng.choice((-3, 2, 5)), rng.randint(-2, 2), rng.randint(-2, 2)
+                coeffs = [Matrix.from_ints(QQ, [[0, 0, c0], [1, 0, c1], [0, 1, c2]])]
+        yield "factor", LinearMatrix([a0] + [a0 * m for m in coeffs])
+
+
+def test_eigen_search_outputs_are_pinned():
+    """The right and left common eigenlines with their eigenvalues, and
+    every `factor_3x3` verdict, byte for byte on 200 seeded inputs."""
+    out, verdicts = [], set()
+    for name, x in _eigen_search_inputs(random.Random(1616)):
+        if name == "lines":
+            for side in ("right", "left"):
+                out.append("%s %r\n" % (side, common_eigenlines(x, side)))
+            continue
+        res = factor_3x3(x)
+        if isinstance(res, FactorizationCert):
+            assert verify_cert(res, x)
+            verdicts.add("cert")
+            out.append(res.to_text())
+        else:
+            verdicts.add(res.reason)
+            out.append("irreducible %s\n" % res.reason)
+    assert verdicts == {"cert", "unit-linear-matrix", "charpoly-irreducible",
+                        "exhausted-eigen-search"}
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == EIGEN_SEARCH_SHA256
+
+
 def test_product_linear():
     z = Quaternion(1, 2, (1, -1, 0, 0))
     cert = zdiv_to_factorization(1, 2, z)
