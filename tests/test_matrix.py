@@ -344,3 +344,227 @@ def test_product_with_zero_and_identity_factors(field):
         assert _assert_product(Matrix.zeros(field, 3, nrows), a) == Matrix.zeros(field, 3, ncols)
     with pytest.raises(ValueError):
         Matrix.identity(field, 2) * Matrix.identity(field, 3)
+
+
+# -- differential test: every public op against a naive reference -------
+#
+# The reference works on tuples of field elements with the field's own
+# + - * /, row by row, and shares no code with `Matrix`.
+
+F5 = PrimeField(5)
+DIFF_FIELDS = (QQ, GF2, GF3, F5)
+
+
+def _draw(rng, field):
+    if field is QQ:
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+    return field.from_int(rng.randrange(field.p))
+
+
+def _rand_rows(rng, field, nrows, ncols):
+    """Zero, rank-one, sparse or dense rows: singular shapes are common."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [[field.zero] * ncols for _ in range(nrows)]
+    if kind == 1:
+        u = [_draw(rng, field) for _ in range(nrows)]
+        v = [_draw(rng, field) for _ in range(ncols)]
+        return [[a * b for b in v] for a in u]
+    density = 0.3 if kind == 2 else 1.0
+    return [[_draw(rng, field) if rng.random() < density else field.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _naive_rref(rows, field):
+    """(reduced row echelon rows, pivot columns) by division."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(rows)) if rows[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = field.one / rows[top][c]
+        rows[top] = [x * inv for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _naive_nullspace(rows, field):
+    rref, pivots = _naive_rref(rows, field)
+    ncols = len(rows[0])
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for k, pc in enumerate(pivots):
+            v[pc] = -rref[k][fc]
+        out.append(tuple(v))
+    return out
+
+
+def _naive_inverse(rows, field):
+    n = len(rows)
+    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
+           for i, r in enumerate(rows)]
+    rref, pivots = _naive_rref(aug, field)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in rref)
+
+
+def _poly_mul(a, b, field):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly_add(a, b, field):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else field.zero) for i, x in enumerate(a)]
+
+
+def _laplace_det(entries, add, mul, neg, zero):
+    """Determinant by expansion along the first row, over any ring."""
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    total = zero
+    for j in range(n):
+        minor = [[r[c] for c in range(n) if c != j] for r in entries[1:]]
+        term = mul(entries[0][j], _laplace_det(minor, add, mul, neg, zero))
+        total = add(total, term if j % 2 == 0 else neg(term))
+    return total
+
+
+def _naive_det(rows, field):
+    return _laplace_det(rows, lambda a, b: a + b, lambda a, b: a * b,
+                        lambda a: -a, field.zero)
+
+
+def _naive_charpoly(rows, field):
+    """det(tI - M) expanded over polynomials in t, ascending."""
+    n = len(rows)
+    entries = [[[-x, field.one] if i == j else [-x] for j, x in enumerate(r)]
+               for i, r in enumerate(rows)]
+    poly = _laplace_det(entries, lambda a, b: _poly_add(a, b, field),
+                        lambda a, b: _poly_mul(a, b, field), lambda a: [-x for x in a],
+                        [field.zero])
+    return tuple(poly + [field.zero] * (n + 1 - len(poly)))
+
+
+def _assert_rows(m, field, expected):
+    """m holds exactly the field elements `expected`, of the field's type."""
+    expected = tuple(tuple(r) for r in expected)
+    assert m.field == field
+    assert m.rows == expected
+    assert (m.nrows, m.ncols) == (len(expected), len(expected[0]))
+    kind = type(field.one)
+    assert all(type(x) is kind for r in m.rows for x in r)
+    for i, r in enumerate(expected):
+        assert m[i] == r
+    for j in range(m.ncols):
+        assert m.col(j) == tuple(r[j] for r in expected)
+    assert m.is_zero() == all(x == field.zero for r in expected for x in r)
+
+
+def test_matrix_ops_match_naive_reference():
+    rng = random.Random("matrix-differential")
+    seen = set()
+    for field in DIFF_FIELDS:
+        for trial in range(70):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            if trial % 2:
+                ncols = nrows
+            rows = _rand_rows(rng, field, nrows, ncols)
+            m = Matrix(field, rows)
+            _assert_rows(m, field, rows)
+            other = _rand_rows(rng, field, nrows, ncols)
+            o = Matrix(field, other)
+            _assert_rows(m + o, field, [[a + b for a, b in zip(r, s)]
+                                        for r, s in zip(rows, other)])
+            _assert_rows(m - o, field, [[a - b for a, b in zip(r, s)]
+                                        for r, s in zip(rows, other)])
+            _assert_rows(-m, field, [[-a for a in r] for r in rows])
+            c = _draw(rng, field)
+            _assert_rows(m.scale(c), field, [[c * a for a in r] for r in rows])
+            _assert_rows(m.transpose(), field, list(zip(*rows)))
+            _assert_rows(m.hstack(o), field, [list(r) + list(s) for r, s in zip(rows, other)])
+            _assert_rows(m.vstack(o.transpose().transpose()), field, rows + other)
+            ri = sorted(rng.sample(range(nrows), rng.randint(1, nrows)))
+            ci = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+            _assert_rows(m.submatrix(ri, ci), field, [[rows[i][j] for j in ci] for i in ri])
+            k = rng.randint(1, 5)
+            right = _rand_rows(rng, field, ncols, k)
+            _assert_rows(m * Matrix(field, right), field,
+                         [[sum((r[t] * right[t][j] for t in range(ncols)), field.zero)
+                           for j in range(k)] for r in rows])
+            _assert_rows(Matrix.from_cols(field, [tuple(r) for r in rows]), field,
+                         list(zip(*rows)))
+            rref, pivots = _naive_rref(rows, field)
+            assert m.rank() == len(pivots)
+            assert m.pivot_cols() == pivots
+            assert m.nullspace() == _naive_nullspace(rows, field)
+            seen.add("zero" if m.is_zero() else "rank-deficient"
+                     if len(pivots) < min(nrows, ncols) else "full-rank")
+            if nrows != ncols:
+                seen.add("non-square")
+                continue
+            det = m.det()
+            assert det == _naive_det(rows, field) and type(det) is type(field.one)
+            inv = m.inverse()
+            ref_inv = _naive_inverse(rows, field)
+            if ref_inv is None:
+                assert inv is None
+                seen.add("singular")
+            else:
+                _assert_rows(inv, field, ref_inv)
+            poly = m.charpoly()
+            assert poly == _naive_charpoly(rows, field)
+            assert all(type(x) is type(field.one) for x in poly)
+        n = rng.randint(1, 5)
+        _assert_rows(Matrix.identity(field, n), field,
+                     [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
+        _assert_rows(Matrix.zeros(field, n, n + 1), field, [[field.zero] * (n + 1)] * n)
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        _assert_rows(Matrix.from_ints(field, ints), field,
+                     [[field.from_int(x) for x in r] for r in ints])
+    assert seen == {"zero", "rank-deficient", "full-rank", "non-square", "singular"}
+
+
+def test_equal_matrices_from_differently_scaled_rows_are_equal():
+    """Matrices equal as field elements compare equal and hash alike,
+    however they were built: scaled up and back down, as a difference,
+    as a double transpose or as a product with the identity."""
+    rng = random.Random("matrix-equality")
+    for field in DIFF_FIELDS:
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = _rand_rows(rng, field, nrows, ncols)
+            m = Matrix(field, rows)
+            c = _draw(rng, field)
+            while c == field.zero:
+                c = _draw(rng, field)
+            built = [
+                Matrix(field, [[c * x for x in r] for r in rows]).scale(field.one / c),
+                m.scale(c).scale(field.one / c),
+                (m + m) - m,
+                m.transpose().transpose(),
+                Matrix.identity(field, nrows) * m,
+                m.hstack(m).submatrix(range(nrows), range(ncols, 2 * ncols)),
+            ]
+            for b in built:
+                assert b == m and hash(b) == hash(m)
+            if not m.is_zero():
+                assert m != m + Matrix.identity(field, max(nrows, ncols)).submatrix(
+                    range(nrows), range(ncols))
