@@ -23,6 +23,8 @@ pairs the source reaches.
 
 from __future__ import annotations
 
+from math import lcm
+
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.errors import SoundnessError
 from ncfactor.matrix import Matrix
@@ -304,14 +306,21 @@ def recover_blackbox(bb, automaton, field):
     bivariate = Alphabet.bivariate()
 
     def big_matrix(letter, assignment):
-        n = assignment.dim
-        rows = [[field.zero] * (nq * n) for _ in range(nq * n)]
-        ident = Matrix.identity(field, n)
-        for i, (j, out) in automaton.moves[letter].items():
-            block = ident if out is None else assignment.mats[out]
+        # every block as int rows over den, the lcm of the blocks' denominators
+        n, mats = assignment.dim, assignment.mats
+        moves = automaton.moves[letter].items()
+        den = lcm(*(mats[out].den for _i, (_j, out) in moves if out is not None))
+        ident = [[den if r == c else 0 for c in range(n)] for r in range(n)]
+        rows = [[0] * (nq * n) for _ in range(nq * n)]
+        for i, (j, out) in moves:
+            if out is None:
+                block = ident
+            else:
+                f = den // mats[out].den
+                block = [[x * f for x in r] for r in mats[out].nums] if f > 1 else mats[out].nums
             for r in range(n):
                 rows[i * n + r][j * n:(j + 1) * n] = block[r]
-        return Matrix(field, rows)
+        return Matrix.from_nums(field, rows, den)
 
     def recovered(assignment):
         n = assignment.dim
@@ -319,12 +328,9 @@ def recover_blackbox(bb, automaton, field):
                                (big_matrix(X, assignment),
                                 big_matrix(Y, assignment)))
         value = bb(big)
-        out = [[field.zero] * n for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                out[r][c] = (value[q0 * n + r][qf * n + c]
-                             + value[q0 * n + r][q0 * n + c])
-        return Matrix(field, out)
+        top = value.nums[q0 * n:(q0 + 1) * n]
+        return Matrix.from_nums(field, [[r[qf * n + c] + r[q0 * n + c] for c in range(n)]
+                                        for r in top], value.den)
 
     return recovered
 
@@ -335,12 +341,17 @@ def reduce_and_recover(c, embedding, oracle):
     factorization oracle, and pull each factor of the first
     factorization back through the automaton.
 
-    Returns circuits over x_1..x_n whose expanded product is the input
-    polynomial; the factors inherit irreducibility from the bivariate
-    side.
+    Returns circuits over c's own alphabet whose expanded product is the
+    input polynomial; the factors inherit irreducibility from the
+    bivariate side.  That answer is checked end to end: SoundnessError
+    when the expanded factors do not multiply back to c's expansion, or
+    when a factor comes back constant from a nonconstant bivariate one.
     """
     from ncfactor.embedding import phi_abp, phi_circuit
 
+    if embedding.n != c.alphabet.size:
+        raise ValueError("the embedding is for %d variables, the input has %d"
+                         % (embedding.n, c.alphabet.size))
     embedded = (phi_abp if isinstance(c, Abp) else phi_circuit)(c, embedding)
     image = embedded.expand()
     tree = oracle(image)
@@ -351,8 +362,22 @@ def reduce_and_recover(c, embedding, oracle):
     out = []
     for idx, factor in enumerate(factors):
         poly = factor if idx or scalar == c.field.one else factor.scale(scalar)
-        out.append(recover_circuit(circuit_from_poly(poly), automaton))
+        recovered = recover_circuit(circuit_from_poly(poly), automaton)
+        out.append(Circuit(c.alphabet, c.field, recovered.gates, recovered.output))
     if not factors:
-        out.append(circuit_from_poly(NcPoly.constant(
-            Alphabet.nvars(embedding.n), c.field, scalar)))
+        out.append(circuit_from_poly(NcPoly.constant(c.alphabet, c.field, scalar)))
+    _check_recovered(c, out, factors)
     return out
+
+
+def _check_recovered(c, out, factors):
+    """Raise SoundnessError unless the circuits `out` recovered from the
+    bivariate `factors` multiply back to c; runs under -O too."""
+    expanded = [circuit.expand() for circuit in out]
+    if any(g.degree < 1 <= factor.degree for g, factor in zip(expanded, factors)):
+        raise SoundnessError("a nonconstant bivariate factor was recovered as a constant")
+    product = expanded[0]
+    for g in expanded[1:]:
+        product = product * g
+    if product != c.expand():
+        raise SoundnessError("the recovered factors do not multiply back to the input")

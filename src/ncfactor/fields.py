@@ -115,9 +115,11 @@ class PrimeFieldElement:
 
 
 class RationalField:
-    """The field Q; elements are `fractions.Fraction` (always canonical)."""
+    """The field Q, of characteristic 0; elements are `fractions.Fraction`
+    (always canonical)."""
 
     name = "Q"
+    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -144,12 +146,12 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a prime p < 2^31."""
+    """The field F_p for a prime p < 2^31, its characteristic."""
 
     def __init__(self, p):
         if p >= MAX_PRIME or not _is_prime(p):
             raise ValueError("prime field modulus must be a prime below 2^31, got %r" % p)
-        self.p = p
+        self.p = self.characteristic = p
         self.name = "F%d" % p
         # shared: a PrimeFieldElement is never mutated after construction
         self.zero = PrimeFieldElement(0, p)

@@ -106,7 +106,9 @@ class LinearMatrix:
         gens = [a0inv * m for m in self.mats[1:]]
         image = Matrix.identity(QQ, self.d)
         while gens:
-            vecs = [v for g in gens for v in zip(*(g * image).rows)]
+            # the columns of each g*image as int vectors: scaling a column
+            # changes no independence
+            vecs = [v for g in gens for v in zip(*(g * image).nums)]
             vecs = [vecs[j] for j in Matrix.from_cols(QQ, vecs).pivot_cols()]
             if not vecs:
                 return True
@@ -218,11 +220,11 @@ def _cleared(mats):
     """(s, [s*m for m in mats]) on integers, s > 0 the lcm of every
     denominator in the group; each s*m as rows of its nonzero (column,
     entry) pairs, or None when m is zero."""
-    s = lcm(*(x.denominator for m in mats for r in m.rows for x in r))
+    s = lcm(*(m.den for m in mats))
     out = []
     for m in mats:
-        rows = [[(j, x.numerator * (s // x.denominator)) for j, x in enumerate(r) if x]
-                for r in m.rows]
+        f = s // m.den
+        rows = [[(j, x * f) for j, x in enumerate(r) if x] for r in m.nums]
         out.append(rows if any(rows) else None)
     return s, out
 
@@ -392,10 +394,12 @@ def _complete_basis(vectors, d):
 
 def _place(m, base, row0, col0):
     """base with the block m written over it at (row0, col0)."""
-    rows = [list(r) for r in base.rows]
-    for i, r in enumerate(m.rows):
-        rows[row0 + i][col0:col0 + len(r)] = r
-    return Matrix(QQ, rows)
+    den = lcm(base.den, m.den)
+    fb, fm = den // base.den, den // m.den
+    rows = [[x * fb for x in r] for r in base.nums]
+    for i, r in enumerate(m.nums):
+        rows[row0 + i][col0:col0 + len(r)] = [x * fm for x in r]
+    return Matrix.from_nums(QQ, rows, den)
 
 
 def _lift_factor(factor, d, off):
@@ -425,16 +429,21 @@ def _scalar_family(lams, d):
 
 def _all_scalar(mats):
     """Per-matrix lambdas when every coefficient matrix is lambda*I."""
-    ident = Matrix.identity(QQ, mats[0].nrows)
-    lams = [m[0][0] for m in mats]
-    return lams if all(m == ident.scale(lam) for m, lam in zip(mats, lams)) else None
+    lams = []
+    for m in mats:
+        lam = m.nums[0][0]
+        if any(x != (lam if i == j else 0) for i, r in enumerate(m.nums) for j, x in enumerate(r)):
+            return None
+        lams.append(Fraction(lam, m.den))
+    return lams
 
 
 def _diag(a, b):
     """The block-diagonal matrix diag(a, b)."""
-    zero = QQ.zero
-    return Matrix(QQ, [r + (zero,) * b.ncols for r in a.rows]
-                  + [(zero,) * a.ncols + r for r in b.rows])
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return Matrix.from_nums(QQ, [[x * fa for x in r] + [0] * b.ncols for r in a.nums]
+                            + [[0] * a.ncols + [x * fb for x in r] for r in b.nums], den)
 
 
 def _whole(L):

@@ -1,26 +1,35 @@
-"""Exact dense matrices over Q or a prime field.
+"""Exact dense matrices over Q or a prime field, on integer rows.
 
-Everything here is exact.  The product skips zero entries, so its cost
-follows the nonzeros: the block matrices of black-box recovery are
-mostly zero.  One fraction-free elimination core
-(`Matrix._reduce`, Bareiss-style Gauss-Jordan on Python ints over Q)
-answers `rank`, `det`, `nullspace`, `inverse` and `pivot_cols`, the
-columns independent of those before them, and the characteristic
-polynomial, whose coefficients are sums of principal minors, each a
-`det` (dimensions are capped at 8, per the callers' needs).
+A `Matrix` holds its entries as integer rows `nums` over one positive
+denominator `den`: entry (i, j) is nums[i][j] / den.  Over Q the pair is
+normalized, gcd(den, every num) = 1, so equal matrices have equal
+(nums, den); over F_p the nums are residues in [0, p) and den = 1.
+Sums, products, scaling, stacking, slicing, equality and hashing run on
+Python ints and normalize once per result (no gcd when den = 1).  Field
+elements (`Fraction`, `PrimeFieldElement`) are built only when `.rows`,
+`m[i]` or `col(j)` is read.
+
+The product skips zero entries, so its cost follows the nonzeros: the
+block matrices of black-box recovery are mostly zero.  One
+fraction-free elimination core (`Matrix._reduce`, Bareiss-style
+Gauss-Jordan on the integer rows) answers `rank`, `det`, `nullspace`,
+`inverse` and `pivot_cols`, the columns independent of those before
+them.  The characteristic polynomial comes from Berkowitz's
+division-free recursion on `nums`; coefficient k is then divided by
+den^k (dimensions are capped at 8, per the callers' needs).
 `rational_roots` tests its candidates on the primitive integer
 polynomial and bounds its trial divisions by ROOTS_MAX_TRIALS.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from ncfactor.errors import BudgetExceededError
-from ncfactor.fields import QQ, RationalField
+from ncfactor.fields import QQ, PrimeFieldElement
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
@@ -28,77 +37,160 @@ ROOTS_MAX_DEGREE = 4
 ROOTS_MAX_TRIALS = 10 ** 7
 
 
-class Matrix:
-    """Immutable dense matrix with exact field entries."""
+def _check_shape(nums):
+    """ValueError unless the rows form a nonempty rectangle."""
+    if not nums or not nums[0]:
+        raise ValueError("matrix must have at least one row and column")
+    width = len(nums[0])
+    if any(len(r) != width for r in nums):
+        raise ValueError("ragged rows")
 
-    __slots__ = ("field", "rows")
+
+def _raw(field, nums, den=1):
+    """The Matrix nums / den, given in normal form as a tuple of int tuples."""
+    m = object.__new__(Matrix)
+    m.field, m.nums, m.den = field, nums, den
+    return m
+
+
+def _normal(field, nums, den=1):
+    """The Matrix nums / den (int rows, den > 0) in normal form: over Q
+    gcd(den, nums) divided out, over F_p the nums reduced mod p (den = 1)."""
+    p = field.characteristic
+    if p:
+        return _raw(field, tuple(tuple(x % p for x in r) for r in nums))
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(nums))
+        if g != 1:
+            return _raw(field, tuple(tuple(x // g for x in r) for r in nums), den // g)
+    return _raw(field, tuple(map(tuple, nums)), den)
+
+
+def _from_nums(field, nums, den=1):
+    """The checked constructor behind `from_nums`, `from_ints`, `identity`
+    and `zeros`: a rectangle of int rows over den > 0."""
+    _check_shape(nums)
+    if den <= 0 or (den != 1 and field.characteristic):
+        raise ValueError("denominator must be positive, and 1 over F_p")
+    return _normal(field, nums, den)
+
+
+def _element(p, num, den=1):
+    """The element num / den of Q (p = 0) or of F_p (den = 1)."""
+    if p:
+        return PrimeFieldElement(num, p)
+    return Fraction(num, den)
+
+
+class Matrix:
+    """Immutable dense matrix over Q or F_p: int rows `nums` over one
+    positive denominator `den`, normalized as the module docstring says.
+
+    `Matrix(field, rows)` takes field elements; `.rows`, `m[i]` and
+    `col(j)` build them back on demand.  `from_nums` takes int rows and
+    a denominator."""
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
+        rows = [tuple(r) for r in rows]
+        _check_shape(rows)
+        p = field.characteristic
+        if p:
+            self.nums = tuple(tuple(x.value if type(x) is PrimeFieldElement else x % p
+                                    for x in r) for r in rows)
+            self.den = 1
+        else:
+            # gcd(den, nums) = 1 already: den is the lcm of reduced denominators
+            den = lcm(*(x.denominator for r in rows for x in r))
+            self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                              for r in rows)
+            self.den = den
         self.field = field
-        self.rows = rows
+
+    @classmethod
+    def from_nums(cls, field, nums, den=1):
+        """The matrix with entries nums[i][j] / den: int rows, den > 0
+        (den = 1 over F_p); normalized here."""
+        return _from_nums(field, nums, den)
 
     @classmethod
     def from_ints(cls, field, rows):
-        return cls(field, [[field.from_int(x) for x in r] for r in rows])
+        return _from_nums(field, [list(r) for r in rows])
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return _from_nums(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        return _from_nums(field, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_cols(cls, field, cols):
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+        return cls(field, zip(*cols))
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len(self.nums[0])
 
     @property
     def is_square(self):
-        return self.nrows == self.ncols
+        return len(self.nums) == len(self.nums[0])
+
+    def _row(self, r):
+        p = self.field.characteristic
+        if p:
+            return tuple(PrimeFieldElement(x, p) for x in r)
+        den = self.den
+        return tuple(Fraction(x, den) for x in r)
+
+    @property
+    def rows(self):
+        """The entries as a tuple of rows of field elements."""
+        return tuple(map(self._row, self.nums))
 
     def __getitem__(self, i):
-        return self.rows[i]
+        return self._row(self.nums[i])
+
+    def col(self, j):
+        return self._row([r[j] for r in self.nums])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.den == other.den and self.nums == other.nums and self.field == other.field
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.den, self.nums))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return "Matrix[%s]" % body
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(self.field, [[a + b if b else a for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _normal(self.field, [[a * fa + b * fb for a, b in zip(r, s)]
+                                    for r, s in zip(self.nums, other.nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-self.field.one)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self.scale(-self.field.one)
+        p = self.field.characteristic
+        return _raw(self.field, tuple(tuple(-x % p if p else -x for x in r)
+                                      for r in self.nums), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -107,80 +199,89 @@ class Matrix:
             raise ValueError("shape mismatch in matrix product")
         # Row k of `other` as its nonzero (j, b_kj); each nonzero a_ik adds
         # a_ik * b_kj into output row i.
-        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
-        zero = self.field.zero
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.nums]
+        p = self.field.characteristic
+        ncols = len(other.nums[0])
         out = []
-        for r in self.rows:
-            acc = [None] * other.ncols
+        for r in self.nums:
+            acc = [0] * ncols
             for a, brow in zip(r, sparse):
                 if a:
                     for j, b in brow:
-                        s = acc[j]
-                        acc[j] = a * b if s is None else s + a * b
-            out.append([zero if s is None else s for s in acc])
-        return Matrix(self.field, out)
+                        acc[j] += a * b
+            out.append(tuple(x % p for x in acc) if p else tuple(acc))
+        if p:
+            return _raw(self.field, tuple(out))
+        return _normal(self.field, out, self.den * other.den)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x if x else x for x in r] for r in self.rows])
+        p = self.field.characteristic
+        if p:
+            c = c.value if type(c) is PrimeFieldElement else c
+            return _normal(self.field, [[c * x for x in r] for r in self.nums])
+        if not c:
+            return _raw(self.field, tuple((0,) * len(r) for r in self.nums))
+        cn = c.numerator
+        return _normal(self.field, [[cn * x for x in r] for r in self.nums],
+                       self.den * c.denominator)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        return _raw(self.field, tuple(zip(*self.nums)), self.den)
 
     def is_zero(self):
-        return not any(map(any, self.rows))
+        return not any(map(any, self.nums))
+
+    def _common(self, other):
+        """(den, self.nums, other.nums) with both sets of rows over den, the
+        lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a = self.nums if fa == 1 else [[x * fa for x in r] for r in self.nums]
+        b = other.nums if fb == 1 else [[x * fb for x in r] for r in other.nums]
+        return den, a, b
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+        den, a, b = self._common(other)
+        return _normal(self.field, [tuple(r1) + tuple(r2) for r1, r2 in zip(a, b)], den)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows)
+        den, a, b = self._common(other)
+        return _normal(self.field, list(a) + list(b), den)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx])
+        nums = self.nums
+        return _normal(self.field, [[nums[i][j] for j in col_idx] for i in row_idx],
+                       self.den)
 
     # -- elimination-based queries ------------------------------------
 
-    def _reduce(self):
-        """The one elimination core: fraction-free Gauss-Jordan reduction.
+    def _reduce(self, rows=None):
+        """The one elimination core: fraction-free Gauss-Jordan reduction
+        of int rows, `self.nums` unless given.
 
-        Returns (rows, pivot columns, d, sign, scale).  Bareiss (1968)
-        elimination, applied above as well as below each pivot.  Over Q
-        each row is first multiplied by the lcm of its denominators
-        (`scale` is the product of these factors), so the loop runs on
-        Python ints and every division by the previous pivot is exact
-        (`//`); over F_p the same loop divides with the field's `/`.
+        Returns (rows, pivot columns, d, sign).  Bareiss (1968)
+        elimination, applied above as well as below each pivot, so every
+        division by the previous pivot is exact: `//` over Q, times its
+        inverse mod p over F_p.
 
         On return each pivot row holds d, the last pivot, in its own
         pivot column and zero in every other pivot column; rows past the
-        rank are zero.  For a nonsingular square matrix
-        det = sign * d / scale.  d is a field element, so x / d is the
-        exact field quotient of any entry x.
+        rank are zero.  For a nonsingular square matrix of int rows N,
+        det N = sign * d (mod p over F_p).
         """
-        field = self.field
-        if isinstance(field, RationalField):
-            rows, scale = [], 1
-            for r in self.rows:
-                s = lcm(*(x.denominator for x in r))
-                rows.append([x.numerator * (s // x.denominator) for x in r])
-                scale *= s
-            zero, prev, div = 0, 1, operator.floordiv
-        else:
-            rows = [list(r) for r in self.rows]
-            zero, prev, scale, div = field.zero, field.one, field.one, operator.truediv
+        p = self.field.characteristic
+        rows = [list(r) for r in (self.nums if rows is None else rows)]
         pivots = []
-        sign = 1
+        sign = prev = 1
         top = 0
-        for col in range(self.ncols):
+        for col in range(len(rows[0])):
             if top == len(rows):
                 break
-            pivot_row = next((i for i in range(top, len(rows)) if rows[i][col] != zero), None)
+            pivot_row = next((i for i in range(top, len(rows)) if rows[i][col]), None)
             if pivot_row is None:
                 continue
             if pivot_row != top:
@@ -188,14 +289,18 @@ class Matrix:
                 sign = -sign
             prow = rows[top]
             pivot = prow[col]
+            inv = pow(prev, -1, p) if p else None
             for i, r in enumerate(rows):
                 if i != top:
                     head = r[col]
-                    rows[i] = [div(pivot * a - head * b, prev) for a, b in zip(r, prow)]
+                    if p:
+                        rows[i] = [(pivot * a - head * b) * inv % p for a, b in zip(r, prow)]
+                    else:
+                        rows[i] = [(pivot * a - head * b) // prev for a, b in zip(r, prow)]
             pivots.append(col)
             prev = pivot
             top += 1
-        return rows, pivots, field.one * prev, sign, scale
+        return rows, pivots, prev, sign
 
     def rank(self):
         return len(self._reduce()[1])
@@ -207,18 +312,22 @@ class Matrix:
     def det(self):
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        _rows, pivots, d, sign, scale = self._reduce()
+        _rows, pivots, d, sign = self._reduce()
         if len(pivots) < self.nrows:
             return self.field.zero
-        return sign * d / scale
+        return _element(self.field.characteristic, sign * d, self.den ** self.nrows)
 
     def nullspace(self):
         """Basis of the right nullspace; [] when the kernel is trivial.
 
         One vector per free column: that variable 1, the other free
         variables 0, read from the reduced form."""
-        rows, pivots, d, _sign, _scale = self._reduce()
-        zero, one = self.field.zero, self.field.one
+        rows, pivots, d, _sign = self._reduce()
+        field = self.field
+        p = field.characteristic
+        # x / d, over F_p as x times the inverse of d
+        num, den = (pow(d, -1, p), 1) if p else (1, d)
+        zero, one = field.zero, field.one
         basis = []
         for fc in range(self.ncols):
             if fc in pivots:
@@ -226,37 +335,59 @@ class Matrix:
             v = [zero] * self.ncols
             v[fc] = one
             for k, pc in enumerate(pivots):
-                v[pc] = -rows[k][fc] / d
+                v[pc] = _element(p, -rows[k][fc] * num, den)
             basis.append(tuple(v))
         return basis
 
     def inverse(self):
-        """Exact inverse, or None when singular: [M | I] reduced to [dI | d*M^-1]."""
+        """Exact inverse, or None when singular.  With M = N / den, the int
+        rows [N | I] reduce to [dI | d*N^-1], and M^-1 = den * N^-1."""
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        rows, pivots, d, _sign, _scale = self.hstack(Matrix.identity(self.field, n))._reduce()
+        rows, pivots, d, _sign = self._reduce(
+            [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.nums)])
         if pivots[n - 1] != n - 1:
             return None
-        return Matrix(self.field, [[x / d for x in r[n:]] for r in rows])
+        p = self.field.characteristic
+        if p:
+            d_inv = pow(d, -1, p)
+            return _normal(self.field, [[x * d_inv for x in r[n:]] for r in rows])
+        f = self.den if d > 0 else -self.den
+        return _normal(self.field, [[x * f for x in r[n:]] for r in rows], abs(d))
 
     def charpoly(self):
         """Coefficients of det(tI - M), ascending, monic; dimension <= 8.
 
-        The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
-        principal minors, each a `det`."""
+        Berkowitz (1984) on the int rows N of M = N / den: the charpoly
+        of each leading principal submatrix is a lower-triangular
+        Toeplitz matrix times that of the one before it, whose first
+        column is 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C (A the
+        block before row and column r, R and C its borders).  The
+        coefficient of t^(n-k) for N is then divided by den^k."""
         if not self.is_square:
             raise ValueError("characteristic polynomial of non-square matrix")
         n = self.nrows
         if n > CHARPOLY_MAX_DIM:
             raise ValueError("charpoly capped at dimension %d" % CHARPOLY_MAX_DIM)
-        coeffs = [self.field.one]
-        for k in range(1, n + 1):
-            total = self.field.zero
-            for idx in combinations(range(n), k):
-                total = total + self.submatrix(idx, idx).det()
-            coeffs.append(-total if k % 2 else total)
-        return tuple(reversed(coeffs))
+        a, p = self.nums, self.field.characteristic
+        vec = [1]  # descending coefficients of the charpoly of the r x r block
+        for r in range(n):
+            block = [row[:r] for row in a[:r]]
+            border = a[r][:r]
+            toeplitz = [1, -a[r][r]]
+            v = [row[r] for row in a[:r]]
+            for k in range(r):
+                if k:
+                    v = [sum(map(mul, row, v)) for row in block]
+                toeplitz.append(-sum(map(mul, border, v)))
+            vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i, r) + 1))
+                   for i in range(r + 2)]
+            if p:
+                vec = [x % p for x in vec]
+        den = self.den
+        return tuple(_element(p, vec[n - i], den ** (n - i))
+                     for i in range(n + 1))
 
 
 # -- univariate polynomial helpers (coefficient lists, ascending) -----

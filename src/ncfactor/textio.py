@@ -15,6 +15,7 @@ of d space-separated rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ncfactor.errors import FormatError
 from ncfactor.fields import QQ
@@ -44,14 +45,30 @@ def read(text, *readers):
                           % (kind, type(exc).__name__, exc)) from exc
 
 
+def _rational(token):
+    """The rational a token spells, as `Fraction(token)` reads it; a
+    plain integer stays an int."""
+    digits = token[1:] if token[:1] in "+-" else token
+    return int(token) if digits.isdecimal() else Fraction(token)
+
+
 def read_matrix(lines, pos, d):
     """The d x d rational matrix written in lines[pos:pos + d]."""
-    rows = [[Fraction(x) for x in lines[pos + i].split()] for i in range(d)]
+    rows = [[_rational(x) for x in lines[pos + i].split()] for i in range(d)]
     if any(len(row) != d for row in rows):
         raise FormatError("expected %d entries per matrix row" % d)
     return Matrix(QQ, rows)
 
 
+def _entry(num, den):
+    """str(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else "%d/%d" % (num // g, den // g)
+
+
 def matrix_lines(m):
     """The rows of m in the matrix-block layout."""
-    return [" ".join(str(x) for x in row) for row in m.rows]
+    den = m.den
+    if den == 1:
+        return [" ".join(map(str, r)) for r in m.nums]
+    return [" ".join(_entry(x, den) for x in r) for r in m.nums]

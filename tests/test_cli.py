@@ -389,3 +389,14 @@ def test_reduce_of_an_abp_equals_reduce_of_its_expansion(tmp_path, capsys, mode)
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert outs[0].startswith("factors 2\n")
+
+
+def test_reduce_prints_factors_over_the_input_alphabet(tmp_path, capsys):
+    """xy + y = (x + 1)*y over F2: a file over xy gets its factors over xy."""
+    path = tmp_path / "xy.poly"
+    path.write_text("ncpoly field=F2 alphabet=xy\n1 xy\n1 y\n")
+    assert cli.main(["reduce", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "factors 2\n"
+        "factor 1\nncpoly field=F2 alphabet=xy\n1 x\n1 1\n"
+        "factor 2\nncpoly field=F2 alphabet=xy\n1 y\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -463,8 +464,23 @@ def _naive_charpoly(rows, field):
     return tuple(poly + [field.zero] * (n + 1 - len(poly)))
 
 
+def _assert_normal(m):
+    """The representation invariants: int rows over one positive int
+    denominator; over Q gcd(den, nums) = 1, over F_p residues and den = 1."""
+    nums, den = m.nums, m.den
+    assert type(nums) is tuple and all(type(r) is tuple for r in nums)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for r in nums for x in r)
+    if m.field == QQ:
+        assert gcd(den, *(x for r in nums for x in r)) == 1
+    else:
+        assert den == 1 and all(0 <= x < m.field.p for r in nums for x in r)
+
+
 def _assert_rows(m, field, expected):
-    """m holds exactly the field elements `expected`, of the field's type."""
+    """m holds exactly the field elements `expected`, of the field's type,
+    in normal form."""
+    _assert_normal(m)
     expected = tuple(tuple(r) for r in expected)
     assert m.field == field
     assert m.rows == expected
@@ -564,7 +580,11 @@ def test_equal_matrices_from_differently_scaled_rows_are_equal():
                 m.hstack(m).submatrix(range(nrows), range(ncols, 2 * ncols)),
             ]
             for b in built:
+                _assert_normal(b)
+                assert (b.nums, b.den) == (m.nums, m.den)
                 assert b == m and hash(b) == hash(m)
             if not m.is_zero():
                 assert m != m + Matrix.identity(field, max(nrows, ncols)).submatrix(
                     range(nrows), range(ncols))
+                if c != field.one:
+                    assert m.scale(c) != m

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ncfactor import cli, factoring, linmat, words
+from ncfactor import automaton, cli, factoring, linmat, words
 from ncfactor.automaton import build_automaton
+from ncfactor.circuits import circuit_from_poly
 from ncfactor.errors import SoundnessError
 from ncfactor.factoring import complete_factorizations, left_factors
 from ncfactor.fields import GF2, QQ
@@ -104,6 +105,36 @@ def test_automaton_guards_raise_soundness_error(monkeypatch):
         enumerate_words(1, "paper")
 
 
+def _corrupt_first(recover, corrupt):
+    """`recover_circuit` whose first recovered factor goes through `corrupt`."""
+    calls = []
+
+    def wrong(circuit, automaton):
+        out = recover(circuit, automaton)
+        calls.append(out)
+        return circuit_from_poly(corrupt(out.expand())) if len(calls) == 1 else out
+    return wrong
+
+
+def test_reduce_checks_the_recovered_factors(monkeypatch, tmp_path, capsys):
+    """x1*x2 + x1 = x1*(x2 + 1) over F2: a recovered factor that no longer
+    multiplies back, or that comes back constant, ends in exit 2."""
+    path = tmp_path / "f.poly"
+    x1 = NcPoly.variable(Alphabet.nvars(2), GF2, 0)
+    path.write_text((x1 * NcPoly.variable(Alphabet.nvars(2), GF2, 1) + x1).to_text())
+    assert cli.main(["reduce", str(path)]) == 0
+    capsys.readouterr()
+    for corrupt in (lambda g: g + NcPoly.one(g.alphabet, g.field),
+                    lambda g: NcPoly.one(g.alphabet, g.field)):
+        monkeypatch.setattr(automaton, "recover_circuit",
+                            _corrupt_first(automaton.recover_circuit, corrupt))
+        assert cli.main(["reduce", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: soundness:")
+        monkeypatch.undo()
+
+
 def test_answer_checks_survive_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -119,7 +150,9 @@ def test_answer_checks_survive_python_O():
          "tests/test_soundness.py::test_oracle_left_factor_check_raises_soundness_error",
          "tests/test_soundness.py::test_oracle_multiply_back_raises_soundness_error",
          "tests/test_soundness.py::test_cli_reports_oracle_soundness_error_with_exit_2",
-         "tests/test_soundness.py::test_automaton_guards_raise_soundness_error"],
+         "tests/test_soundness.py::test_automaton_guards_raise_soundness_error",
+         "tests/test_soundness.py::test_reduce_checks_the_recovered_factors",
+         "tests/test_matrix.py::test_matrix_ops_match_naive_reference"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "11 passed" in proc.stdout
+    assert "13 passed" in proc.stdout
