@@ -176,10 +176,9 @@ class Matrix:
         """self + sign * other."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return _normal(self.field, [[a * fa + b * fb for a, b in zip(r, s)]
-                                    for r, s in zip(self.nums, other.nums)], den)
+        den, a, b = self._common(other)
+        return _normal(self.field, [[x + sign * y for x, y in zip(r, s)]
+                                    for r, s in zip(a, b)], den)
 
     def __add__(self, other):
         return self._combine(other, 1)

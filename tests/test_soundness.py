@@ -105,34 +105,29 @@ def test_automaton_guards_raise_soundness_error(monkeypatch):
         enumerate_words(1, "paper")
 
 
-def _corrupt_first(recover, corrupt):
-    """`recover_circuit` whose first recovered factor goes through `corrupt`."""
-    calls = []
-
-    def wrong(circuit, automaton):
-        out = recover(circuit, automaton)
-        calls.append(out)
-        return circuit_from_poly(corrupt(out.expand())) if len(calls) == 1 else out
-    return wrong
+def _recover_as(polys):
+    """A `recover_circuit` that returns circuits for `polys`, one per call."""
+    polys = iter(polys)
+    return lambda circuit, automaton: circuit_from_poly(next(polys))
 
 
 def test_reduce_checks_the_recovered_factors(monkeypatch, tmp_path, capsys):
-    """x1*x2 + x1 = x1*(x2 + 1) over F2: a recovered factor that no longer
-    multiplies back, or that comes back constant, ends in exit 2."""
+    """x1*x2 + x1 = x1*(x2 + 1) over F2.  Recovered factors that do not
+    multiply back, or a nonconstant factor recovered as a constant (even
+    with the product right), end in exit 2."""
+    ab2 = Alphabet.nvars(2)
+    x1, x2, one = NcPoly.variable(ab2, GF2, 0), NcPoly.variable(ab2, GF2, 1), NcPoly.one(ab2, GF2)
+    f = x1 * x2 + x1
     path = tmp_path / "f.poly"
-    x1 = NcPoly.variable(Alphabet.nvars(2), GF2, 0)
-    path.write_text((x1 * NcPoly.variable(Alphabet.nvars(2), GF2, 1) + x1).to_text())
+    path.write_text(f.to_text())
     assert cli.main(["reduce", str(path)]) == 0
     capsys.readouterr()
-    for corrupt in (lambda g: g + NcPoly.one(g.alphabet, g.field),
-                    lambda g: NcPoly.one(g.alphabet, g.field)):
-        monkeypatch.setattr(automaton, "recover_circuit",
-                            _corrupt_first(automaton.recover_circuit, corrupt))
+    for recovered in ([x1 + one, x2 + one], [one, f]):
+        monkeypatch.setattr(automaton, "recover_circuit", _recover_as(recovered))
         assert cli.main(["reduce", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: soundness:")
-        monkeypatch.undo()
 
 
 def test_answer_checks_survive_python_O():
