@@ -23,8 +23,6 @@ pairs the source reaches.
 
 from __future__ import annotations
 
-from math import lcm
-
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.errors import SoundnessError
 from ncfactor.matrix import Matrix
@@ -305,32 +303,22 @@ def recover_blackbox(bb, automaton, field):
     q0, qf = automaton.q0, automaton.qf
     bivariate = Alphabet.bivariate()
 
-    def big_matrix(letter, assignment):
-        # every block as int rows over den, the lcm of the blocks' denominators
-        n, mats = assignment.dim, assignment.mats
-        moves = automaton.moves[letter].items()
-        den = lcm(*(mats[out].den for _i, (_j, out) in moves if out is not None))
-        ident = [[den if r == c else 0 for c in range(n)] for r in range(n)]
-        rows = [[0] * (nq * n) for _ in range(nq * n)]
-        for i, (j, out) in moves:
-            if out is None:
-                block = ident
-            else:
-                f = den // mats[out].den
-                block = [[x * f for x in r] for r in mats[out].nums] if f > 1 else mats[out].nums
-            for r in range(n):
-                rows[i * n + r][j * n:(j + 1) * n] = block[r]
-        return Matrix.from_nums(field, rows, den)
+    def big_matrix(letter, assignment, ident):
+        n = assignment.dim
+        return Matrix.from_blocks(field, nq * n, nq * n, [
+            (i * n, j * n, ident if out is None else assignment.mats[out])
+            for i, (j, out) in automaton.moves[letter].items()])
 
     def recovered(assignment):
         n = assignment.dim
+        ident = Matrix.identity(field, n)
         big = MatrixAssignment(bivariate, field,
-                               (big_matrix(X, assignment),
-                                big_matrix(Y, assignment)))
+                               (big_matrix(X, assignment, ident),
+                                big_matrix(Y, assignment, ident)))
         value = bb(big)
-        top = value.nums[q0 * n:(q0 + 1) * n]
-        return Matrix.from_nums(field, [[r[qf * n + c] + r[q0 * n + c] for c in range(n)]
-                                        for r in top], value.den)
+        top = range(q0 * n, (q0 + 1) * n)
+        return (value.submatrix(top, range(qf * n, (qf + 1) * n))
+                + value.submatrix(top, range(q0 * n, (q0 + 1) * n)))
 
     return recovered
 

@@ -394,12 +394,7 @@ def _complete_basis(vectors, d):
 
 def _place(m, base, row0, col0):
     """base with the block m written over it at (row0, col0)."""
-    den = lcm(base.den, m.den)
-    fb, fm = den // base.den, den // m.den
-    rows = [[x * fb for x in r] for r in base.nums]
-    for i, r in enumerate(m.nums):
-        rows[row0 + i][col0:col0 + len(r)] = [x * fm for x in r]
-    return Matrix.from_nums(QQ, rows, den)
+    return Matrix.from_blocks(QQ, base.nrows, base.ncols, [(0, 0, base), (row0, col0, m)])
 
 
 def _lift_factor(factor, d, off):
@@ -429,21 +424,15 @@ def _scalar_family(lams, d):
 
 def _all_scalar(mats):
     """Per-matrix lambdas when every coefficient matrix is lambda*I."""
-    lams = []
-    for m in mats:
-        lam = m.nums[0][0]
-        if any(x != (lam if i == j else 0) for i, r in enumerate(m.nums) for j, x in enumerate(r)):
-            return None
-        lams.append(Fraction(lam, m.den))
-    return lams
+    ident = Matrix.identity(QQ, mats[0].nrows)
+    lams = [m[0][0] for m in mats]
+    return lams if all(m == ident.scale(lam) for m, lam in zip(mats, lams)) else None
 
 
 def _diag(a, b):
     """The block-diagonal matrix diag(a, b)."""
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    return Matrix.from_nums(QQ, [[x * fa for x in r] + [0] * b.ncols for r in a.nums]
-                            + [[0] * a.ncols + [x * fb for x in r] for r in b.nums], den)
+    return Matrix.from_blocks(QQ, a.nrows + b.nrows, a.ncols + b.ncols,
+                              [(0, 0, a), (a.nrows, a.ncols, b)])
 
 
 def _whole(L):

@@ -4,10 +4,10 @@ A `Matrix` holds its entries as integer rows `nums` over one positive
 denominator `den`: entry (i, j) is nums[i][j] / den.  Over Q the pair is
 normalized, gcd(den, every num) = 1, so equal matrices have equal
 (nums, den); over F_p the nums are residues in [0, p) and den = 1.
-Sums, products, scaling, stacking, slicing, equality and hashing run on
-Python ints and normalize once per result (no gcd when den = 1).  Field
-elements (`Fraction`, `PrimeFieldElement`) are built only when `.rows`,
-`m[i]` or `col(j)` is read.
+Sums, products, scaling, stacking, block placement, slicing, equality
+and hashing run on Python ints and normalize once per result (no gcd
+when den = 1).  Field elements (`Fraction`, `PrimeFieldElement`) are
+built only when `.rows`, `m[i]` or `col(j)` is read.
 
 The product skips zero entries, so its cost follows the nonzeros: the
 block matrices of black-box recovery are mostly zero.  One
@@ -66,15 +66,6 @@ def _normal(field, nums, den=1):
     return _raw(field, tuple(map(tuple, nums)), den)
 
 
-def _from_nums(field, nums, den=1):
-    """The checked constructor behind `from_nums`, `from_ints`, `identity`
-    and `zeros`: a rectangle of int rows over den > 0."""
-    _check_shape(nums)
-    if den <= 0 or (den != 1 and field.characteristic):
-        raise ValueError("denominator must be positive, and 1 over F_p")
-    return _normal(field, nums, den)
-
-
 def _element(p, num, den=1):
     """The element num / den of Q (p = 0) or of F_p (den = 1)."""
     if p:
@@ -88,7 +79,8 @@ class Matrix:
 
     `Matrix(field, rows)` takes field elements; `.rows`, `m[i]` and
     `col(j)` build them back on demand.  `from_nums` takes int rows and
-    a denominator."""
+    a denominator, and `from_blocks` writes matrices as blocks of a
+    larger one without leaving the ints."""
 
     __slots__ = ("field", "nums", "den")
 
@@ -110,21 +102,39 @@ class Matrix:
 
     @classmethod
     def from_nums(cls, field, nums, den=1):
-        """The matrix with entries nums[i][j] / den: int rows, den > 0
-        (den = 1 over F_p); normalized here."""
-        return _from_nums(field, nums, den)
+        """The matrix with entries nums[i][j] / den: a rectangle of int
+        rows, den > 0 (den = 1 over F_p); normalized here."""
+        _check_shape(nums)
+        if den <= 0 or (den != 1 and field.characteristic):
+            raise ValueError("denominator must be positive, and 1 over F_p")
+        return _normal(field, nums, den)
 
     @classmethod
     def from_ints(cls, field, rows):
-        return _from_nums(field, [list(r) for r in rows])
+        return cls.from_nums(field, [list(r) for r in rows])
 
     @classmethod
     def identity(cls, field, n):
-        return _from_nums(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls.from_nums(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return _from_nums(field, [[0] * ncols for _ in range(nrows)])
+        return cls.from_nums(field, [[0] * ncols for _ in range(nrows)])
+
+    @classmethod
+    def from_blocks(cls, field, nrows, ncols, blocks):
+        """The nrows x ncols matrix that is zero outside the blocks, each
+        (row0, col0, block) written at (row0, col0), a later block over
+        an earlier one."""
+        den = lcm(*(b.den for _r, _c, b in blocks))
+        rows = [[0] * ncols for _ in range(nrows)]
+        for row0, col0, b in blocks:
+            if row0 + b.nrows > nrows or col0 + b.ncols > ncols:
+                raise ValueError("block outside the matrix")
+            f = den // b.den
+            for i, r in enumerate(b.nums):
+                rows[row0 + i][col0:col0 + len(r)] = r if f == 1 else [x * f for x in r]
+        return cls.from_nums(field, rows, den)
 
     @classmethod
     def from_cols(cls, field, cols):
@@ -199,7 +209,6 @@ class Matrix:
         # Row k of `other` as its nonzero (j, b_kj); each nonzero a_ik adds
         # a_ik * b_kj into output row i.
         sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.nums]
-        p = self.field.characteristic
         ncols = len(other.nums[0])
         out = []
         for r in self.nums:
@@ -208,18 +217,12 @@ class Matrix:
                 if a:
                     for j, b in brow:
                         acc[j] += a * b
-            out.append(tuple(x % p for x in acc) if p else tuple(acc))
-        if p:
-            return _raw(self.field, tuple(out))
+            out.append(acc)
         return _normal(self.field, out, self.den * other.den)
 
     def scale(self, c):
-        p = self.field.characteristic
-        if p:
-            c = c.value if type(c) is PrimeFieldElement else c
-            return _normal(self.field, [[c * x for x in r] for r in self.nums])
-        if not c:
-            return _raw(self.field, tuple((0,) * len(r) for r in self.nums))
+        if type(c) is PrimeFieldElement:
+            c = c.value
         cn = c.numerator
         return _normal(self.field, [[cn * x for x in r] for r in self.nums],
                        self.den * c.denominator)
@@ -348,12 +351,10 @@ class Matrix:
             [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.nums)])
         if pivots[n - 1] != n - 1:
             return None
+        # over F_p times the inverse of d; over Q den / d, sign in the nums
         p = self.field.characteristic
-        if p:
-            d_inv = pow(d, -1, p)
-            return _normal(self.field, [[x * d_inv for x in r[n:]] for r in rows])
-        f = self.den if d > 0 else -self.den
-        return _normal(self.field, [[x * f for x in r[n:]] for r in rows], abs(d))
+        f, den = (pow(d, -1, p), 1) if p else (self.den if d > 0 else -self.den, abs(d))
+        return _normal(self.field, [[x * f for x in r[n:]] for r in rows], den)
 
     def charpoly(self):
         """Coefficients of det(tI - M), ascending, monic; dimension <= 8.

@@ -15,7 +15,6 @@ of d space-separated rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from ncfactor.errors import FormatError
 from ncfactor.fields import QQ
@@ -46,8 +45,8 @@ def read(text, *readers):
 
 
 def _rational(token):
-    """The rational a token spells, as `Fraction(token)` reads it; a
-    plain integer stays an int."""
+    """The rational a token spells, as `Fraction(token)` reads it; a plain
+    integer, the common entry, stays an int and skips Fraction's parser."""
     digits = token[1:] if token[:1] in "+-" else token
     return int(token) if digits.isdecimal() else Fraction(token)
 
@@ -60,15 +59,6 @@ def read_matrix(lines, pos, d):
     return Matrix(QQ, rows)
 
 
-def _entry(num, den):
-    """str(Fraction(num, den)) for den > 0."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else "%d/%d" % (num // g, den // g)
-
-
 def matrix_lines(m):
     """The rows of m in the matrix-block layout."""
-    den = m.den
-    if den == 1:
-        return [" ".join(map(str, r)) for r in m.nums]
-    return [" ".join(_entry(x, den) for x in r) for r in m.nums]
+    return [" ".join(str(x) for x in row) for row in m.rows]

@@ -759,3 +759,16 @@ def test_is_unit_matches_product_enumeration():
                 assert got == ref_is_unit(lin), (d, n, trial)
                 outcomes.add((d, got))
     assert outcomes == {(d, flag) for d in range(1, 5) for flag in (False, True)}
+
+
+def test_matrix_entries_read_as_fraction_reads_them():
+    """The integer fast path of the matrix reader accepts and refuses
+    exactly what Fraction(token) does."""
+    from ncfactor.textio import _rational
+    for token in ("3", "-3", "+3", "007", "-0", "1/2", "-4/6", "1.5", "2e3", "٣"):
+        assert _rational(token) == Fraction(token)
+    for token in ("", "+", "-+3", "3/", "1/0x", "abc", "3_0/"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(token)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            _rational(token)

@@ -517,6 +517,12 @@ def test_matrix_ops_match_naive_reference():
             _assert_rows(m.transpose(), field, list(zip(*rows)))
             _assert_rows(m.hstack(o), field, [list(r) + list(s) for r, s in zip(rows, other)])
             _assert_rows(m.vstack(o.transpose().transpose()), field, rows + other)
+            grid = [[field.zero] * (ncols + 1) for _ in range(nrows + 1)]
+            for row0, col0, block in ((0, 0, rows), (1, 1, other)):
+                for i, r in enumerate(block):
+                    grid[row0 + i][col0:col0 + ncols] = r
+            _assert_rows(Matrix.from_blocks(field, nrows + 1, ncols + 1, [(0, 0, m), (1, 1, o)]),
+                         field, grid)
             ri = sorted(rng.sample(range(nrows), rng.randint(1, nrows)))
             ci = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
             _assert_rows(m.submatrix(ri, ci), field, [[rows[i][j] for j in ci] for i in ri])
@@ -556,6 +562,15 @@ def test_matrix_ops_match_naive_reference():
         _assert_rows(Matrix.from_ints(field, ints), field,
                      [[field.from_int(x) for x in r] for r in ints])
     assert seen == {"zero", "rank-deficient", "full-rank", "non-square", "singular"}
+
+
+def test_from_blocks_refuses_a_block_outside_the_matrix():
+    block = Matrix(QQ, [[Fraction(1, 2), 1]])
+    assert Matrix.from_blocks(QQ, 2, 3, [(1, 1, block)]).rows == (
+        (0, 0, 0), (0, Fraction(1, 2), 1))
+    for row0, col0 in ((2, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            Matrix.from_blocks(QQ, 2, 3, [(row0, col0, block)])
 
 
 def test_equal_matrices_from_differently_scaled_rows_are_equal():
