@@ -323,7 +323,7 @@ def recover_blackbox(bb, automaton, field):
     return recovered
 
 
-def reduce_and_recover(c, embedding, oracle):
+def reduce_and_recover(c, embedding, oracle, expanded=False):
     """The full white-box pipeline: embed the circuit or ABP (by
     `phi_circuit` or `phi_abp`), hand the expanded bivariate image to the
     factorization oracle, and pull each factor of the first
@@ -334,6 +334,8 @@ def reduce_and_recover(c, embedding, oracle):
     bivariate side.  That answer is checked end to end: SoundnessError
     when the expanded factors do not multiply back to c's expansion, or
     when a factor comes back constant from a nonconstant bivariate one.
+    With expanded=True the answer is instead the factors' expansions,
+    the ones that check multiplied back.
     """
     from ncfactor.embedding import phi_abp, phi_circuit
 
@@ -354,13 +356,14 @@ def reduce_and_recover(c, embedding, oracle):
         out.append(Circuit(c.alphabet, c.field, recovered.gates, recovered.output))
     if not factors:
         out.append(circuit_from_poly(NcPoly.constant(c.alphabet, c.field, scalar)))
-    _check_recovered(c, out, factors)
-    return out
+    polys = _check_recovered(c, out, factors)
+    return polys if expanded else out
 
 
 def _check_recovered(c, out, factors):
-    """Raise SoundnessError unless the circuits `out` recovered from the
-    bivariate `factors` multiply back to c; runs under -O too."""
+    """The expansions of the circuits `out` recovered from the bivariate
+    `factors`; SoundnessError unless they multiply back to c.  Runs under
+    -O too."""
     expanded = [circuit.expand() for circuit in out]
     if any(g.degree < 1 <= factor.degree for g, factor in zip(expanded, factors)):
         raise SoundnessError("a nonconstant bivariate factor was recovered as a constant")
@@ -369,3 +372,4 @@ def _check_recovered(c, out, factors):
         product = product * g
     if product != c.expand():
         raise SoundnessError("the recovered factors do not multiply back to the input")
+    return expanded

@@ -108,11 +108,11 @@ def cmd_reduce(args):
         obj = circuit_from_poly(obj)
     embedding = Embedding.for_variables(obj.alphabet.size, args.mode)
     oracle = lambda poly: complete_factorizations(poly, args.budget)
-    factors = reduce_and_recover(obj, embedding, oracle)
+    factors = reduce_and_recover(obj, embedding, oracle, expanded=True)
     lines = ["factors %d" % len(factors)]
     for i, factor in enumerate(factors, 1):
         lines.append("factor %d" % i)
-        lines.append(factor.expand().to_text().rstrip("\n"))
+        lines.append(factor.to_text().rstrip("\n"))
     _write_out("\n".join(lines) + "\n", args.output)
     return 0
 

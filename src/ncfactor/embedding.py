@@ -10,7 +10,7 @@ dense inverse.
 
 from __future__ import annotations
 
-from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment, eval_word
+from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment
 from ncfactor.ncpoly import Alphabet, NcPoly, bar, imbalance
 from ncfactor.words import enumerate_words, is_minimally_balanced
 
@@ -131,13 +131,30 @@ def phi_abp(p, embedding):
 
 def phi_blackbox(bb, embedding, field):
     """Wrap a black-box for f into one for its embedded image: on matrices
-    (T_x, T_y) call the inner box at x_i -> v_i(T) + bar(v_i)(T)."""
+    (T_x, T_y) call the inner box at x_i -> v_i(T) + bar(v_i)(T).
+
+    Within one call every prefix of the words v_i and bar(v_i) is
+    multiplied out once, left to right from its first letter's matrix,
+    and shared by the words that start with it."""
 
     def embedded(assignment):
+        letters = assignment.mats
+        prefixes = {}
+
+        def product(word):
+            acc = letters[word[0]]
+            for k in range(2, len(word) + 1):
+                head = word[:k]
+                nxt = prefixes.get(head)
+                if nxt is None:
+                    nxt = prefixes[head] = acc * letters[word[k - 1]]
+                acc = nxt
+            return acc
+
         mats = []
         for i in range(embedding.n):
             w = embedding.word(i)
-            mats.append(eval_word(w, assignment) + eval_word(bar(w), assignment))
+            mats.append(product(w) + product(bar(w)))
         inner = MatrixAssignment(embedding.source_alphabet, field, mats)
         return bb(inner)
 

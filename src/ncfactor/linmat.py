@@ -40,7 +40,7 @@ from math import lcm
 from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
-from ncfactor.matrix import Matrix, rational_roots
+from ncfactor.matrix import Matrix, integer_roots
 from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, mu_matrix,
                                  mv_matrix)
 
@@ -332,12 +332,15 @@ def _normalize_line(w):
 
 
 def _eigenvalues(m, roots):
-    """rational_roots of m's charpoly, looked up in the dict `roots` or
-    computed and stored there for m and its transpose, which has the
-    same charpoly."""
+    """The rational eigenvalues of m = N / den with multiplicity, sorted:
+    r / den for the integer roots r of N's monic integer charpoly.
+    Looked up in the dict `roots` or computed and stored there for m and
+    its transpose, which has the same charpoly."""
     found = roots.get(m)
     if found is None:
-        found = roots[m] = roots[m.transpose()] = rational_roots(m.charpoly())
+        den = m.den
+        found = roots[m] = roots[m.transpose()] = [
+            (Fraction(r, den), mult) for r, mult in integer_roots(m.int_charpoly())]
     return found
 
 
@@ -442,18 +445,17 @@ def _whole(L):
     return (ident, ident, [L], [False]) if L.degree else (ident, ident, [], [])
 
 
-def _split(L, p, k, split_top, split_bottom):
+def _split(L, p, pinv, k, split_top, split_bottom):
     """Data (P, Q, factors, flags) with P*L*Q = product of the factors,
-    for L with identity constant term and a basis change p after which
-    every coefficient is block-lower-triangular, [[T, 0], [D, B]] with T
-    of size k.  With (pt, qt, ...) = split_top(T) and (pb, qb, ...) =
+    for L with identity constant term and a basis change p, given with
+    its inverse pinv, after which every coefficient is
+    block-lower-triangular, [[T, 0], [D, B]] with T of size k.  With (pt, qt, ...) = split_top(T) and (pb, qb, ...) =
     split_bottom(B), the certificates of the two diagonal blocks,
 
         diag(pt, pb) [[T, 0], [D, B]] diag(qt, qb)
             = diag(pt*T*qt, I) [[I, 0], [pb*D*qt, I]] diag(I, pb*B*qb),
 
     so P = diag(pt, pb)*p and Q = p^-1*diag(qt, qb)."""
-    pinv = p.inverse()
     conj = [p * m * pinv for m in L.mats]
     d = L.d
     head, tail = range(k), range(k, d)
@@ -499,11 +501,12 @@ def _eigen_candidates(L, roots):
     small = lambda block: _factor_small(block, roots)
     for w, _lams in common_eigenlines(coeffs, "right", roots):
         cols = _complete_basis([w], d)
-        p = Matrix.from_cols(QQ, cols[1:] + cols[:1]).inverse()
-        yield _split(L, p, d - 1, small, _whole)
+        pinv = Matrix.from_cols(QQ, cols[1:] + cols[:1])
+        yield _split(L, pinv.inverse(), pinv, d - 1, small, _whole)
     if d == 3:
         for w, _lams in common_eigenlines(coeffs, "left", roots):
-            yield _split(L, Matrix(QQ, _complete_basis([w], d)), 1, _whole, small)
+            p = Matrix(QQ, _complete_basis([w], d))
+            yield _split(L, p, p.inverse(), 1, _whole, small)
 
 
 def _factor_small(L, roots=None):
@@ -591,7 +594,7 @@ def zdiv_to_factorization(alpha, beta, z):
     r = len(rows)
     assert 1 <= r <= 3, "a zero divisor generates a proper nonzero left ideal"
     p = Matrix(QQ, _complete_basis(rows, 4))
-    cert = FactorizationCert(*_split(L, p, r, _whole, _whole))
+    cert = FactorizationCert(*_split(L, p, p.inverse(), r, _whole, _whole))
     _check_cert(cert, L)
     return cert
 

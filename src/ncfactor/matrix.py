@@ -15,10 +15,13 @@ fraction-free elimination core (`Matrix._reduce`, Bareiss-style
 Gauss-Jordan on the integer rows) answers `rank`, `det`, `nullspace`,
 `inverse` and `pivot_cols`, the columns independent of those before
 them.  The characteristic polynomial comes from Berkowitz's
-division-free recursion on `nums`; coefficient k is then divided by
-den^k (dimensions are capped at 8, per the callers' needs).
-`rational_roots` tests its candidates on the primitive integer
-polynomial and bounds its trial divisions by ROOTS_MAX_TRIALS.
+division-free recursion on `nums` (`int_charpoly`); coefficient k is
+then divided by den^(n-k) (dimensions are capped at 8, per the callers'
+needs).  `integer_roots` finds the integer roots of a monic integer
+polynomial by Hensel lifting, in time polynomial in the bit size, so the
+rational eigenvalues of M = N / den are r / den for the integer roots r
+of N's charpoly; `rational_roots` maps any rational polynomial to that
+case.
 """
 
 from __future__ import annotations
@@ -28,13 +31,10 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from ncfactor.errors import BudgetExceededError
 from ncfactor.fields import QQ, PrimeFieldElement
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
-# Trial divisions per coefficient in `rational_roots`: |a| up to 10^14.
-ROOTS_MAX_TRIALS = 10 ** 7
 
 
 def _check_shape(nums):
@@ -359,12 +359,21 @@ class Matrix:
     def charpoly(self):
         """Coefficients of det(tI - M), ascending, monic; dimension <= 8.
 
-        Berkowitz (1984) on the int rows N of M = N / den: the charpoly
-        of each leading principal submatrix is a lower-triangular
-        Toeplitz matrix times that of the one before it, whose first
-        column is 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C (A the
-        block before row and column r, R and C its borders).  The
-        coefficient of t^(n-k) for N is then divided by den^k."""
+        With M = N / den, coefficient k of `int_charpoly` (that of N) is
+        divided by den^(n-k)."""
+        n, den = self.nrows, self.den
+        return tuple(_element(self.field.characteristic, c, den ** (n - k))
+                     for k, c in enumerate(self.int_charpoly()))
+
+    def int_charpoly(self):
+        """Coefficients of det(tI - N) for the int rows N, ascending and
+        monic, ints (residues over F_p); dimension <= 8.
+
+        Berkowitz (1984): the charpoly of each leading principal
+        submatrix is a lower-triangular Toeplitz matrix times that of the
+        one before it, whose first column is 1, -a_rr, -R C, -R A C, ...,
+        -R A^(r-1) C (A the block before row and column r, R and C its
+        borders)."""
         if not self.is_square:
             raise ValueError("characteristic polynomial of non-square matrix")
         n = self.nrows
@@ -385,9 +394,7 @@ class Matrix:
                    for i in range(r + 2)]
             if p:
                 vec = [x % p for x in vec]
-        den = self.den
-        return tuple(_element(p, vec[n - i], den ** (n - i))
-                     for i in range(n + 1))
+        return vec[::-1]
 
 
 # -- univariate polynomial helpers (coefficient lists, ascending) -----
@@ -407,76 +414,129 @@ def upoly_eval(p, x):
 
 
 def rational_roots(coeffs):
-    """Rational roots (with multiplicity) of a nonzero rational polynomial.
+    """Rational roots (with multiplicity) of a nonzero rational polynomial
+    of degree at most 4, as a sorted list of (root, multiplicity) pairs.
 
-    Uses the rational-root theorem on the primitive integer form: each
-    candidate num/den (coprime) is tested by Horner on that form, as
-    den^deg * p(num/den), and the multiplicity of each root is found by
-    exact deflation.  Degree is capped at 4.
-    Returns a sorted list of (root, multiplicity) pairs.  Raises
-    BudgetExceededError when listing the divisors of the constant or the
-    leading coefficient takes more than ROOTS_MAX_TRIALS trial divisions.
-    """
+    The primitive integer form a_n t^n + ... + a_0 (a_n > 0) becomes the
+    monic integer polynomial a_n^(n-1) p(s/a_n) in s = a_n t, whose
+    integer roots s give the rational roots s/a_n (`integer_roots`)."""
     p = upoly_trim(coeffs, QQ)
     if len(p) == 1 and p[0] == 0:
         raise ValueError("rational_roots of the zero polynomial")
-    if len(p) - 1 > ROOTS_MAX_DEGREE:
+    n = len(p) - 1
+    if n > ROOTS_MAX_DEGREE:
         raise ValueError("rational_roots capped at degree %d" % ROOTS_MAX_DEGREE)
-    roots = {}
-    # strip powers of t: root 0
-    zero_mult = 0
-    while p[0] == 0 and len(p) > 1:
-        zero_mult += 1
-        p = p[1:]
-    if zero_mult:
-        roots[Fraction(0)] = zero_mult
-    if len(p) > 1:
-        scale = lcm(*(c.denominator for c in p))
-        ints = [int(c * scale) for c in p]
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
-        a0, alead = abs(ints[0]), abs(ints[-1])
-        dens = _divisors(alead)
-        cands = [(sign * num, den) for num in _divisors(a0) for den in dens
-                 if gcd(num, den) == 1 for sign in (1, -1)]
-        for num, den in cands:
-            # den^deg * p(num/den) by Horner on the integer form
-            acc, dpow = ints[-1], 1
-            for c in reversed(ints[:-1]):
-                dpow *= den
-                acc = acc * num + c * dpow
-            if acc == 0:
-                r = Fraction(num, den)
-                mult = 0
-                q = p
-                while len(q) > 1 and upoly_eval(q, r) == 0:
-                    q = _deflate(q, r)
-                    mult += 1
-                roots[r] = mult
-    return sorted(roots.items())
+    scale = lcm(*(c.denominator for c in p))
+    a = _primitive([c.numerator * (scale // c.denominator) for c in p])
+    lead = a[-1]
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
+    return [(Fraction(s, lead), mult) for s, mult in integer_roots(monic)]
 
 
-def _divisors(n):
-    """Divisors of |n| by trial division up to its square root; more than
-    ROOTS_MAX_TRIALS trials raise BudgetExceededError."""
-    n = abs(n)
-    root = isqrt(n)
-    if root > ROOTS_MAX_TRIALS:
-        raise BudgetExceededError("rational-root search needs %d trial divisions, limit %d"
-                                  % (root, ROOTS_MAX_TRIALS))
-    out = set()
-    for d in range(1, root + 1):
-        if n % d == 0:
-            out.update((d, n // d))
+def integer_roots(coeffs):
+    """Integer roots (with multiplicity) of a monic integer polynomial,
+    coefficients ascending, as a sorted list of (root, multiplicity).
+
+    Polynomial in the bit size (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 15): the roots of the square-free part h are
+    found modulo the first prime q at which all of them are simple, and
+    each is Hensel-lifted until the modulus passes 2 (1 + max |h_i|),
+    twice the bound on an integer root of monic h.  A lifted residue is
+    a root only if exact substitution gives 0; synthetic division by
+    t - r then counts its multiplicity."""
+    f = list(coeffs)
+    if f[-1] != 1:
+        raise ValueError("integer_roots needs a monic polynomial")
+    if len(f) == 1:
+        return []
+    h = _squarefree(f)
+    dh = _derivative(h)
+    for q in _primes():
+        residues = [r for r in range(q) if upoly_eval(h, r) % q == 0]
+        if all(upoly_eval(dh, r) % q for r in residues):
+            break
+    bound = 2 * (1 + max(map(abs, h)))
+    out = []
+    for r in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - upoly_eval(h, r) * pow(upoly_eval(dh, r), -1, m)) % m
+        if 2 * r > m:  # the residue of least absolute value
+            r -= m
+        mult, rest = 0, f
+        while len(rest) > 1:
+            quotient, value = _deflate(rest, r)
+            if value != 0:
+                break
+            mult, rest = mult + 1, quotient
+        if mult:
+            out.append((r, mult))
     return sorted(out)
 
 
+def _primes():
+    """2, 3, 5, 7, ... without end."""
+    n = 2
+    while True:
+        if all(n % d for d in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
 def _deflate(p, r):
-    """Divide p by (t - r); the remainder must vanish."""
-    n = len(p) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = p[n]
-    for i in range(n - 1, 0, -1):
-        q[i - 1] = p[i] + r * q[i]
-    assert p[0] + r * q[0] == 0, "deflation by a non-root"
-    return upoly_trim(q, QQ)
+    """(quotient, remainder) of p by t - r: the remainder is p(r)."""
+    acc, quotient = 0, []
+    for c in reversed(p):
+        acc = acc * r + c
+        quotient.append(acc)
+    value = quotient.pop()
+    return quotient[::-1], value
+
+
+def _primitive(p):
+    """p over the gcd of its coefficients, leading coefficient positive."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _squarefree(f):
+    """f / gcd(f, f') for a monic integer f of degree >= 1.
+
+    The gcd is the last nonzero term of the primitive pseudo-remainder
+    sequence; as a primitive divisor of a monic polynomial it is monic
+    (Gauss's lemma), so the quotient is exact over the integers."""
+    a, b = f, _derivative(f)
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    n = len(a) - 1
+    if n == 0:
+        return f
+    quotient, rest = [], list(f)
+    for k in range(len(f) - 1, n - 1, -1):
+        c = rest[k]
+        quotient.append(c)
+        for i, y in enumerate(a):
+            rest[k - n + i] -= c * y
+    return quotient[::-1]
+
+
+def _pseudo_remainder(a, b):
+    """The remainder of lead(b)^j * a by b on ints, for the j >= 0 that
+    keeps every step exact; trailing zeros trimmed, so [] is zero."""
+    a, n, lead = list(a), len(b), b[-1]
+    while len(a) >= n:
+        c, shift = a[-1], len(a) - n
+        a = [x * lead for x in a]
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a

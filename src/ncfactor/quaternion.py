@@ -6,12 +6,18 @@ linear-matrix gadget exactly: rep(z)[i][j] is the coefficient of basis
 element j in z * (basis element i), so rep(u) and rep(v) are literally
 M_u and M_v.  With this (row) convention rep reverses products:
 rep(z1 * z2) = rep(z2) * rep(z1).
+
+Coordinates and parameters are `Fraction`s.  `hmul` works on integers:
+it brings each factor's coordinates over one denominator, multiplies
+the numerators by the integer form of the defining relations, and
+builds each coordinate of the product once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ncfactor.errors import SoundnessError
 from ncfactor.fields import QQ
@@ -81,17 +87,34 @@ class Quaternion:
 
 
 def hmul(z1, z2):
-    """Product in H(alpha, beta), expanded through the defining relations."""
+    """Product in H(alpha, beta), expanded through the defining relations.
+
+    On ints: with alpha = na/da, beta = nb/db and the coordinates over
+    one denominator each, a_i = x_i/e1 and b_i = y_i/e2, every product
+    coordinate is an integer form in the x_i and y_i over da*db*e1*e2;
+    each becomes a Fraction once, at the end."""
     z1._check(z2)
-    al, be = z1.alpha, z1.beta
-    a0, a1, a2, a3 = z1.coords
-    b0, b1, b2, b3 = z2.coords
-    return Quaternion(al, be, (
-        a0 * b0 + al * a1 * b1 + be * a2 * b2 - al * be * a3 * b3,
-        a0 * b1 + a1 * b0 - be * a2 * b3 + be * a3 * b2,
-        a0 * b2 + a2 * b0 + al * a1 * b3 - al * a3 * b1,
-        a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-    ))
+    na, da = z1.alpha.numerator, z1.alpha.denominator
+    nb, db = z1.beta.numerator, z1.beta.denominator
+    e1, (x0, x1, x2, x3) = _over_one_denominator(z1.coords)
+    e2, (y0, y1, y2, y3) = _over_one_denominator(z2.coords)
+    ab, a, b = da * db, na * db, nb * da
+    den = ab * e1 * e2
+    z = object.__new__(Quaternion)
+    z.alpha, z.beta = z1.alpha, z1.beta
+    z.coords = (
+        Fraction(ab * x0 * y0 + a * x1 * y1 + b * x2 * y2 - na * nb * x3 * y3, den),
+        Fraction(ab * (x0 * y1 + x1 * y0) + b * (x3 * y2 - x2 * y3), den),
+        Fraction(ab * (x0 * y2 + x2 * y0) + a * (x1 * y3 - x3 * y1), den),
+        Fraction(ab * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1), den),
+    )
+    return z
+
+
+def _over_one_denominator(coords):
+    """(e, ints) with coords = ints / e, e the lcm of the denominators."""
+    e = lcm(*(c.denominator for c in coords))
+    return e, [c.numerator * (e // c.denominator) for c in coords]
 
 
 def regular_representation(z):

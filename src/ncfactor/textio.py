@@ -60,5 +60,9 @@ def read_matrix(lines, pos, d):
 
 
 def matrix_lines(m):
-    """The rows of m in the matrix-block layout."""
-    return [" ".join(str(x) for x in row) for row in m.rows]
+    """The rows of m in the matrix-block layout, written from its int rows
+    over its denominator."""
+    den = m.den
+    if den == 1:
+        return [" ".join(map(str, r)) for r in m.nums]
+    return [" ".join(str(Fraction(x, den)) for x in r) for r in m.nums]

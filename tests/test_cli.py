@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ncfactor import cli
-from ncfactor.circuits import circuit_from_poly
+from ncfactor.circuits import Circuit, circuit_from_poly
 from ncfactor.fields import GF2, QQ, PrimeField
 from ncfactor.ncpoly import Alphabet, NcPoly
 
@@ -56,6 +56,29 @@ def test_reduce_pipeline(tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "factors 2"
     assert "1 x1" in out and "1 x2" in out
+
+
+def test_reduce_expands_each_recovered_factor_once(tmp_path, capsys, monkeypatch):
+    """One `reduce` of x1*x2 + x1 over F2 expands the bivariate image, the
+    input for the end-to-end check and each of the two recovered factors
+    once; the printed factors are the check's expansions."""
+    ab2 = Alphabet.nvars(2)
+    x1 = NcPoly.variable(ab2, GF2, 0)
+    x2 = NcPoly.variable(ab2, GF2, 1)
+    path = tmp_path / "g.poly"
+    path.write_text((x1 * x2 + x1).to_text())
+    calls = []
+    expand = Circuit.expand
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.alphabet)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "expand", counted)
+    assert cli.main(["reduce", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "factors 2"
+    assert calls.count(AB) == 1 and calls.count(ab2) == 3
 
 
 def test_embed_recover_round_trip(tmp_path):
@@ -113,8 +136,8 @@ def test_factor_linmat3(tmp_path):
 
 
 def _factor_large_entry(tmp_path, a):
-    """factor-linmat3 on I + A x, A = [[a,0,0],[1,2,0],[0,0,3]]: the
-    rational-root search trial-divides the charpoly's constant 6a."""
+    """factor-linmat3 on I + A x, A = [[a,0,0],[1,2,0],[0,0,3]], whose
+    charpoly has the constant 6a."""
     lm = tmp_path / "large.lm"
     lm.write_text("linmat d=3 n=1 field=Q\n1 0 0\n0 1 0\n0 0 1\n"
                   "%d 0 0\n1 2 0\n0 0 3\n" % a)
@@ -132,10 +155,21 @@ def test_factor_linmat3_large_entry_within_the_trial_limit(tmp_path):
                    + "factor unit=0\n" + ident + "0 0 0\n0 0 0\n0 0 3\n")
 
 
-def test_factor_linmat3_large_entry_exceeds_the_trial_limit(tmp_path):
+def test_factor_linmat3_21_digit_entry_factors_and_verifies(tmp_path):
+    """Far past where trial division of 6a gives out, the eigenvalue
+    10^20 + 39 is found, and verify-cert accepts the certificate."""
     code, out, err = _factor_large_entry(tmp_path, 10 ** 20 + 39)
-    assert code == 2 and out == ""
-    assert err.startswith("error: budget: rational-root search needs")
+    ident = "1 0 0\n0 1 0\n0 0 1\n"
+    assert code == 0 and err == ""
+    assert out == ("cert d=3 n=1 field=Q\nP\n" + ident + "Q\n" + ident
+                   + "factor unit=0\n" + ident + "100000000000000000039 0 0\n0 0 0\n0 0 0\n"
+                   + "factor unit=1\n" + ident + "0 0 0\n1 0 0\n0 0 0\n"
+                   + "factor unit=0\n" + ident + "0 0 0\n0 2 0\n0 0 0\n"
+                   + "factor unit=0\n" + ident + "0 0 0\n0 0 0\n0 0 3\n")
+    cert = tmp_path / "large.cert"
+    cert.write_text(out)
+    code, out, _ = run_cli(["verify-cert", str(cert), str(tmp_path / "large.lm")])
+    assert code == 0 and out == "ok\n"
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -265,7 +266,7 @@ def test_split_assembles_certificates_when_both_sides_split():
         p = rand_invertible(rng, 3)
         pinv = p.inverse()
         lin = LinearMatrix([I3] + [pinv * s * p for s in seeds])
-        big_p, big_q, factors, flags = linmat._split(lin, p, k, linmat._factor_small,
+        big_p, big_q, factors, flags = linmat._split(lin, p, pinv, k, linmat._factor_small,
                                                      linmat._factor_small)
         assert verify_cert(FactorizationCert(big_p, big_q, factors, flags), lin)
         side = big_p * pinv if k == 1 else p * big_q
@@ -319,18 +320,47 @@ def test_linmat_outputs_are_pinned():
     assert digest == LINMAT_OUTPUT_SHA256
 
 
+def test_factor_3x3_with_eigenvalues_of_20_to_60_digits():
+    """Seeded conjugated lower-triangular inputs I + A x (+ B y) whose
+    eigenvalues have 20-60 digits, some repeated: each factors into at
+    least two nontrivial factors, its certificate verifies, and both take
+    under a second."""
+    rng = random.Random(2060)
+
+    def big():
+        return rng.choice((1, -1)) * rng.randrange(10 ** 19, 10 ** 60)
+
+    for _ in range(10):
+        p = rand_invertible(rng, 3)
+        pinv = p.inverse()
+        seeds = []
+        for _ in range(rng.randint(1, 2)):
+            diag = [big() for _ in range(3)]
+            if rng.random() < 0.3:
+                diag[1] = diag[0]
+            rows = [[diag[i] if i == j else rng.randint(-2, 2) if j < i else 0
+                     for j in range(3)] for i in range(3)]
+            seeds.append(Matrix.from_ints(QQ, rows))
+        lin = LinearMatrix([I3] + [pinv * s * p for s in seeds])
+        start = time.perf_counter()
+        cert = factor_3x3(lin)
+        assert isinstance(cert, FactorizationCert) and cert.nontrivial_count() >= 2
+        assert verify_cert(cert, lin)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_factor_3x3_computes_each_charpoly_once(monkeypatch):
     """Within one `factor_3x3` call no matrix has its charpoly computed
     twice, nor its transpose (the left-line search reuses the right
     one's), on the reducible inputs and companions pinned above."""
     seen = []
-    charpoly = Matrix.charpoly
+    charpoly = Matrix.int_charpoly
 
     def counted(self):
         seen.append(self)
         return charpoly(self)
 
-    monkeypatch.setattr(Matrix, "charpoly", counted)
+    monkeypatch.setattr(Matrix, "int_charpoly", counted)
 
     def distinct_up_to_transpose(lin):
         seen.clear()

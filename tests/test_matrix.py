@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from ncfactor.fields import GF2, GF3, QQ, PrimeField
-from ncfactor.matrix import Matrix, rational_roots, upoly_eval
+from ncfactor.matrix import Matrix, integer_roots, rational_roots, upoly_eval
 
 
 def rand_matrix(rng, n, lo=-4, hi=4):
@@ -137,6 +137,113 @@ def test_rational_roots_match_constructed_roots():
             seen.add(extra)
     assert seen == {"zero", "negative", "positive", "fractional", "repeated", "leading",
                     "rational", (-2, 0, 1), (1, 0, 1)}
+
+
+def _trial_division_roots(coeffs):
+    """Reference for `rational_roots`: the rational-root theorem on the
+    integer form, each candidate +-num/den (num | a_0, den | a_n, divisors
+    by trial division) tested by substitution, and each root divided out
+    as often as it divides."""
+    p = [Fraction(c) for c in coeffs]
+    while p[-1] == 0:
+        p.pop()
+    roots = {}
+    while p[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        p = p[1:]
+    scale = lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+
+    def divisors(n):
+        n = abs(n)
+        return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            for r in (Fraction(num, den), Fraction(-num, den)):
+                while len(p) > 1 and upoly_eval(p, r) == 0:
+                    quotient = [Fraction(0)] * (len(p) - 1)
+                    acc = Fraction(0)
+                    for i in range(len(p) - 1, 0, -1):
+                        acc = acc * r + p[i]
+                        quotient[i - 1] = acc
+                    p = quotient
+                    roots[r] = roots.get(r, 0) + 1
+    return sorted(roots.items())
+
+
+def test_root_finder_matches_trial_division():
+    """Seeded random polynomials of degree 1-4, c * t^z * prod (b t - a)
+    times at most one factor without a rational root, some monic over
+    the integers (`integer_roots`), the rest rational (`rational_roots`);
+    both finders agree with the trial-division reference."""
+    rng = random.Random(2024)
+    no_root = ((-2, 0, 1), (1, 0, 1), (2, 1, 1), (-5, 0, 3), (1, 1, 1))
+    seen = set()
+    for trial in range(400):
+        monic = trial % 2 == 0
+        poly = [Fraction(1)] if monic else [
+            Fraction(rng.choice((1, -1, 2, -3, 6, 10)), rng.choice((1, 1, 3, 7, 35)))]
+        degree = rng.randint(1, 4)
+        if degree >= 2 and rng.random() < 0.3:
+            extra = rng.choice([e for e in no_root if e[-1] == 1 or not monic])
+            poly = _upoly_mul(poly, [Fraction(c) for c in extra])
+            seen.add("no-root")
+            degree -= 2
+        root = None
+        for _ in range(degree):
+            if root is not None and rng.random() < 0.3:
+                pass  # the previous root again
+            elif rng.random() < 0.15:
+                root = Fraction(0)
+            elif monic:
+                root = Fraction(rng.randint(-30, 30))
+            else:
+                root = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            poly = _upoly_mul(poly, [-root.numerator, root.denominator] if not monic
+                              else [-root, Fraction(1)])
+        expected = _trial_division_roots(poly)
+        if monic:
+            ints = [int(c) for c in poly]
+            assert integer_roots(ints) == [(int(r), m) for r, m in expected], poly
+        assert rational_roots(tuple(poly)) == expected, poly
+        seen.update("zero" for r, _m in expected if r == 0)
+        seen.update("repeated" for _r, m in expected if m > 1)
+        seen.update("fractional" for r, _m in expected if r.denominator > 1)
+        seen.add("degree %d" % (len(poly) - 1))
+    assert seen >= {"zero", "repeated", "fractional", "no-root",
+                    "degree 1", "degree 2", "degree 3", "degree 4"}
+
+
+def test_root_finder_on_large_roots():
+    """Cubics with three roots of 20-60 digits, some with a double root,
+    monic over the integers and divided by a leading coefficient; a
+    polynomial that is not monic is refused by `integer_roots`."""
+    rng = random.Random(60)
+    for _ in range(20):
+        roots = [rng.choice((1, -1)) * rng.randrange(10 ** 19, 10 ** 60) for _ in range(3)]
+        if rng.random() < 0.5:
+            roots[1] = roots[0]
+        poly = [1]
+        for r in roots:
+            poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+        expected = sorted((r, roots.count(r)) for r in set(roots))
+        assert integer_roots(poly) == expected
+        lead = rng.randrange(2, 10 ** 6)
+        scaled = [Fraction(c, lead) for c in poly]
+        assert rational_roots(tuple(scaled)) == [(Fraction(r), m) for r, m in expected]
+    with pytest.raises(ValueError):
+        integer_roots([3, 2])
+
+
+def test_integer_roots_keeps_only_exact_roots():
+    """t^2 + t + 2 has the simple roots 0 and 1 modulo 2, and
+    (t - 6)(t^2 - 7) the simple roots 0, 1 and 2 modulo 3 (after a double
+    root modulo 2); every lift but 6 is no integer root, and the exact
+    substitution check drops them, also under python -O."""
+    assert integer_roots([2, 1, 1]) == []
+    assert integer_roots([42, -7, -6, 1]) == [(6, 1)]
+    assert rational_roots((Fraction(2), Fraction(1), Fraction(1))) == []
 
 
 def test_nullspace_examples():

@@ -32,6 +32,38 @@ def test_relations_with_general_parameters():
         assert hmul(hmul(z[0], z[1]), z[2]) == hmul(z[0], hmul(z[1], z[2]))
 
 
+def test_hmul_matches_the_fraction_formula():
+    """Seeded differential test of the integer product against the
+    defining relations written out on Fractions, with alpha, beta and the
+    coordinates given denominators and zero coordinates."""
+    rng = random.Random(188)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 35)))
+
+    def reference(al, be, a, b):
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 + al * a1 * b1 + be * a2 * b2 - al * be * a3 * b3,
+                a0 * b1 + a1 * b0 - be * a2 * b3 + be * a3 * b2,
+                a0 * b2 + a2 * b0 + al * a1 * b3 - al * a3 * b1,
+                a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1)
+
+    seen = set()
+    for _ in range(500):
+        al, be = rational() or Fraction(-1), rational() or Fraction(3, 2)
+        a, b = ([rational() if rng.random() < 0.7 else Fraction(0) for _ in range(4)]
+                for _ in range(2))
+        z = hmul(Quaternion(al, be, a), Quaternion(al, be, b))
+        assert z.coords == reference(al, be, a, b)
+        assert all(type(c) is Fraction for c in z.coords)
+        assert (z.alpha, z.beta) == (al, be)
+        seen.add(("alpha/", al.denominator > 1))
+        seen.add(("beta/", be.denominator > 1))
+        seen.update(("zero", c == 0) for c in a + b)
+    assert seen == {(k, v) for k in ("alpha/", "beta/", "zero") for v in (False, True)}
+
+
 def test_parameter_mismatch_and_zero_params():
     a = Quaternion(1, 1, (1, 0, 0, 0))
     b = Quaternion(1, 2, (1, 0, 0, 0))
