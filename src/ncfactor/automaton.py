@@ -323,19 +323,18 @@ def recover_blackbox(bb, automaton, field):
     return recovered
 
 
-def reduce_and_recover(c, embedding, oracle, expanded=False):
+def reduce_and_recover(c, embedding, oracle):
     """The full white-box pipeline: embed the circuit or ABP (by
     `phi_circuit` or `phi_abp`), hand the expanded bivariate image to the
     factorization oracle, and pull each factor of the first
     factorization back through the automaton.
 
-    Returns circuits over c's own alphabet whose expanded product is the
-    input polynomial; the factors inherit irreducibility from the
-    bivariate side.  That answer is checked end to end: SoundnessError
-    when the expanded factors do not multiply back to c's expansion, or
-    when a factor comes back constant from a nonconstant bivariate one.
-    With expanded=True the answer is instead the factors' expansions,
-    the ones that check multiplied back.
+    Returns the factors as polynomials over c's own alphabet whose
+    product is the input polynomial: the expansions of the recovered
+    circuits.  They inherit irreducibility from the bivariate side.
+    That answer is checked end to end: SoundnessError when the factors
+    do not multiply back to c's expansion, or when a factor comes back
+    constant from a nonconstant bivariate one.
     """
     from ncfactor.embedding import phi_abp, phi_circuit
 
@@ -356,8 +355,7 @@ def reduce_and_recover(c, embedding, oracle, expanded=False):
         out.append(Circuit(c.alphabet, c.field, recovered.gates, recovered.output))
     if not factors:
         out.append(circuit_from_poly(NcPoly.constant(c.alphabet, c.field, scalar)))
-    polys = _check_recovered(c, out, factors)
-    return polys if expanded else out
+    return _check_recovered(c, out, factors)
 
 
 def _check_recovered(c, out, factors):

@@ -108,7 +108,7 @@ def cmd_reduce(args):
         obj = circuit_from_poly(obj)
     embedding = Embedding.for_variables(obj.alphabet.size, args.mode)
     oracle = lambda poly: complete_factorizations(poly, args.budget)
-    factors = reduce_and_recover(obj, embedding, oracle, expanded=True)
+    factors = reduce_and_recover(obj, embedding, oracle)
     lines = ["factors %d" % len(factors)]
     for i, factor in enumerate(factors, 1):
         lines.append("factor %d" % i)

@@ -449,8 +449,9 @@ def _split(L, p, pinv, k, split_top, split_bottom):
     """Data (P, Q, factors, flags) with P*L*Q = product of the factors,
     for L with identity constant term and a basis change p, given with
     its inverse pinv, after which every coefficient is
-    block-lower-triangular, [[T, 0], [D, B]] with T of size k.  With (pt, qt, ...) = split_top(T) and (pb, qb, ...) =
-    split_bottom(B), the certificates of the two diagonal blocks,
+    block-lower-triangular, [[T, 0], [D, B]] with T of size k.  With
+    (pt, qt, ...) = split_top(T) and (pb, qb, ...) = split_bottom(B),
+    the certificates of the two diagonal blocks,
 
         diag(pt, pb) [[T, 0], [D, B]] diag(qt, qb)
             = diag(pt*T*qt, I) [[I, 0], [pb*D*qt, I]] diag(I, pb*B*qb),

@@ -357,7 +357,9 @@ class Matrix:
         return _normal(self.field, [[x * f for x in r[n:]] for r in rows], den)
 
     def charpoly(self):
-        """Coefficients of det(tI - M), ascending, monic; dimension <= 8.
+        """Coefficients of det(tI - M), ascending, monic, as field
+        elements; dimension <= 8.  Public API only: the factoring code
+        reads `int_charpoly`.
 
         With M = N / den, coefficient k of `int_charpoly` (that of N) is
         divided by den^(n-k)."""

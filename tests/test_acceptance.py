@@ -204,9 +204,8 @@ def test_criterion_7_end_to_end_reduction():
     x2 = NcPoly.variable(ab2, GF2, 1)
     embedding = Embedding.for_variables(2, "compact")
     factors = reduce_and_recover(circuit_from_poly(x1 * x2 + x1), embedding, oracle)
-    expanded = [c.expand() for c in factors]
     prod = NcPoly.one(ab2, GF2)
-    for g in expanded:
+    for g in factors:
         prod = prod * g
         assert is_irreducible(g)
     assert prod == x1 * x2 + x1
@@ -227,8 +226,7 @@ def test_criterion_7_end_to_end_reduction():
         embedding = Embedding.for_variables(n, "compact")
         factors = reduce_and_recover(circuit_from_poly(f), embedding, oracle)
         prod = NcPoly.one(abn, GF2)
-        for c in factors:
-            part = c.expand()
+        for part in factors:
             assert is_irreducible(part)
             prod = prod * part
         assert prod == f
