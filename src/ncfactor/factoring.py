@@ -12,10 +12,10 @@ where w0[j:] is at most deg f - k long, so at most |F_p|^min(k, deg f - k)
 assignments run.
 
 Each search is planned once, and its per-assignment loop runs on
-{word: int mod p} dicts from start to finish: f is converted once, the
-int cofactor goes straight to the dict-level division core
-`ncpoly._divide_terms`, and quotients are deduplicated as ints.  Field
-elements are built only for the factors kept.
+{word: int mod p} dicts, the form `NcPoly.terms` already has over F_p:
+f's terms and the int cofactor go straight to the dict-level division
+core `ncpoly._divide_terms`, and quotients are deduplicated as they
+come.
 
 Complete factorizations are the maximal chains of f's own monic left
 factors, so f is searched once per degree and every factor is a quotient.
@@ -80,16 +80,16 @@ def _plan(f, k):
 
     rows are the words v that can carry a cofactor coefficient (v with
     w0*v a word of f, or with w0[j:]*v such a word for some j), longest
-    first, each with f's coefficient at w0*v (as an int) and the links
-    (j, w0[j:]*v) for the keys among them.  read are the prefix indices j
-    that some link reads; an unread
-    prefix coefficient leaves h as it is, so only the read ones vary, the
-    others staying 0.  The search costs p^len(read) * (len(rows) + 1)
-    steps: every row, and one division, per assignment.
+    first, each with f's coefficient at w0*v and the links (j, w0[j:]*v)
+    for the keys among them.  read are the prefix indices j that some
+    link reads; an unread prefix coefficient leaves h as it is, so only
+    the read ones vary, the others staying 0.  The search costs
+    p^len(read) * (len(rows) + 1) steps: every row, and one division,
+    per assignment.
     """
     w0 = f.leading_monomial()[:k]
     suffixes = [w0[j:] for j in range(k)]
-    top = {w[k:]: c.value for w, c in f.terms.items() if w[:k] == w0}
+    top = {w[k:]: c for w, c in f.terms.items() if w[:k] == w0}
     words = set()
     todo = list(top)
     while todo:
@@ -136,13 +136,13 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     of degree k, then lm(g) is the length-k prefix w0 of lm(f), and for
     every word v the coefficient of w0*v in f equals
     h(v) + sum_j g(w0[:j]) * h(w0[j:]*v), which determines h from the k
-    prefix coefficients alone.  The search is planned once, f is turned
-    into plain ints mod p once, and each assignment of the prefix
-    coefficients the plan reads runs the recurrence and one right
-    division on ints (`_divide_terms`).  Quotients are deduplicated as
-    ints; only a new one becomes a field-element g, checked monic of
-    degree k and multiplied back against f.  The budget bounds the
-    planned steps of this one call, or of every call sharing it.
+    prefix coefficients alone.  The search is planned once, and each
+    assignment of the prefix coefficients the plan reads runs the
+    recurrence and one right division of f's terms (`_divide_terms`).
+    Quotients are deduplicated as they come; only a new one becomes a
+    polynomial g, checked monic of degree k and multiplied back against
+    f.  The budget bounds the planned steps of this one call, or of
+    every call sharing it.
     """
     _check_field(f)
     if f.is_zero():
@@ -153,7 +153,6 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     _charge(budget, steps)
     field = f.field
     p = field.p
-    fvals = {w: c.value for w, c in f.terms.items()}
     found = {}
     gamma = [0] * k
     for values in product(range(p), repeat=len(read)):
@@ -166,16 +165,16 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
             val %= p
             if val:
                 eta[v] = val
-        quot = _divide_terms(fvals, eta, False, p)
+        quot = _divide_terms(f.terms, eta, False, p)
         if quot is None:
             continue
         key = tuple(sorted(quot.items()))
         if key in found:
             continue
-        g = NcPoly(f.alphabet, field, {w: field.from_int(t) for w, t in quot.items()})
-        if g.degree != k or g.leading_coeff() != field.one:
+        g = NcPoly(f.alphabet, field, quot)
+        if g.degree != k or g.leading_coeff() != 1:
             raise SoundnessError("left factor is not monic of degree %d" % k)
-        h = NcPoly(f.alphabet, field, {v: field.from_int(t) for v, t in eta.items()})
+        h = NcPoly(f.alphabet, field, eta)
         if g * h != f:
             raise SoundnessError("left factor times cofactor does not give f")
         found[key] = g
@@ -190,7 +189,7 @@ def _metered(budget):
 
 
 def _poly_key(g):
-    return tuple(sorted((w, c.value) for w, c in g.terms.items()))
+    return tuple(sorted(g.terms.items()))
 
 
 def is_irreducible(f, budget=DEFAULT_BUDGET):

@@ -1,9 +1,11 @@
 """Exact field arithmetic: arbitrary-precision rationals and small prime fields.
 
-Field elements are plain values supporting +, -, *, / and ==:
-`fractions.Fraction` over Q, `PrimeFieldElement` over F_p.  A field
-object (`RationalField` or `PrimeField`) constructs, parses and formats
-elements; every operation is exact, nothing is ever rounded.
+Field elements are plain Python numbers: `fractions.Fraction` over Q,
+and over F_p an int in [0, p), the residue itself.  A field object
+(`RationalField` or `PrimeField`) constructs, parses and formats
+elements; code that computes over F_p reduces mod p itself (`NcPoly`,
+`Matrix`, the factor oracle), and every operation is exact, nothing is
+ever rounded.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ def _is_prime(p):
 
 
 class PrimeFieldElement:
-    """Residue mod p with exact arithmetic."""
+    """Residue mod p with exact arithmetic, as an object.
+
+    The package represents F_p elements as plain ints and never builds
+    one of these.  The class stays as an arithmetic that does not share
+    the package's code: the tests compute their F_p references with it,
+    and the benchmark's tracer counts its objects and operations."""
 
     __slots__ = ("value", "p")
 
@@ -146,28 +153,28 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a prime p < 2^31, its characteristic."""
+    """The field F_p for a prime p < 2^31, its characteristic; elements
+    are the ints 0..p-1."""
 
     def __init__(self, p):
         if p >= MAX_PRIME or not _is_prime(p):
             raise ValueError("prime field modulus must be a prime below 2^31, got %r" % p)
         self.p = self.characteristic = p
         self.name = "F%d" % p
-        # shared: a PrimeFieldElement is never mutated after construction
-        self.zero = PrimeFieldElement(0, p)
-        self.one = PrimeFieldElement(1, p)
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, k):
-        return PrimeFieldElement(k, self.p)
+        return k % self.p
 
     def parse(self, text):
         try:
-            return PrimeFieldElement(int(text), self.p)
+            return int(text) % self.p
         except ValueError as exc:
             raise FormatError("bad F%d literal %r" % (self.p, text)) from exc
 
     def format(self, x):
-        return str(x.value)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

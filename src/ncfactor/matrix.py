@@ -6,8 +6,9 @@ normalized, gcd(den, every num) = 1, so equal matrices have equal
 (nums, den); over F_p the nums are residues in [0, p) and den = 1.
 Sums, products, scaling, stacking, block placement, slicing, equality
 and hashing run on Python ints and normalize once per result (no gcd
-when den = 1).  Field elements (`Fraction`, `PrimeFieldElement`) are
-built only when `.rows`, `m[i]` or `col(j)` is read.
+when den = 1).  Over F_p an element is its residue, so `.rows`, `m[i]`
+and `col(j)` hand out the nums themselves; over Q they build the
+`Fraction`s when read.
 
 The product skips zero entries, so its cost follows the nonzeros: the
 block matrices of black-box recovery are mostly zero.  One
@@ -30,8 +31,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
-
-from ncfactor.fields import QQ, PrimeFieldElement
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
@@ -68,19 +67,17 @@ def _normal(field, nums, den=1):
 
 def _element(p, num, den=1):
     """The element num / den of Q (p = 0) or of F_p (den = 1)."""
-    if p:
-        return PrimeFieldElement(num, p)
-    return Fraction(num, den)
+    return num % p if p else Fraction(num, den)
 
 
 class Matrix:
     """Immutable dense matrix over Q or F_p: int rows `nums` over one
     positive denominator `den`, normalized as the module docstring says.
 
-    `Matrix(field, rows)` takes field elements; `.rows`, `m[i]` and
-    `col(j)` build them back on demand.  `from_nums` takes int rows and
-    a denominator, and `from_blocks` writes matrices as blocks of a
-    larger one without leaving the ints."""
+    `Matrix(field, rows)` takes field elements (over F_p any ints,
+    reduced here); `.rows`, `m[i]` and `col(j)` give them back.
+    `from_nums` takes int rows and a denominator, and `from_blocks`
+    writes matrices as blocks of a larger one without leaving the ints."""
 
     __slots__ = ("field", "nums", "den")
 
@@ -89,8 +86,7 @@ class Matrix:
         _check_shape(rows)
         p = field.characteristic
         if p:
-            self.nums = tuple(tuple(x.value if type(x) is PrimeFieldElement else x % p
-                                    for x in r) for r in rows)
+            self.nums = tuple(tuple(x % p for x in r) for r in rows)
             self.den = 1
         else:
             # gcd(den, nums) = 1 already: den is the lcm of reduced denominators
@@ -153,9 +149,8 @@ class Matrix:
         return len(self.nums) == len(self.nums[0])
 
     def _row(self, r):
-        p = self.field.characteristic
-        if p:
-            return tuple(PrimeFieldElement(x, p) for x in r)
+        if self.field.characteristic:
+            return tuple(r)
         den = self.den
         return tuple(Fraction(x, den) for x in r)
 
@@ -221,8 +216,6 @@ class Matrix:
         return _normal(self.field, out, self.den * other.den)
 
     def scale(self, c):
-        if type(c) is PrimeFieldElement:
-            c = c.value
         cn = c.numerator
         return _normal(self.field, [[cn * x for x in r] for r in self.nums],
                        self.den * c.denominator)
@@ -401,13 +394,6 @@ class Matrix:
 
 # -- univariate polynomial helpers (coefficient lists, ascending) -----
 
-def upoly_trim(p, field):
-    p = list(p)
-    while len(p) > 1 and p[-1] == field.zero:
-        p.pop()
-    return tuple(p)
-
-
 def upoly_eval(p, x):
     acc = p[-1]
     for c in reversed(p[:-1]):
@@ -422,7 +408,9 @@ def rational_roots(coeffs):
     The primitive integer form a_n t^n + ... + a_0 (a_n > 0) becomes the
     monic integer polynomial a_n^(n-1) p(s/a_n) in s = a_n t, whose
     integer roots s give the rational roots s/a_n (`integer_roots`)."""
-    p = upoly_trim(coeffs, QQ)
+    p = list(coeffs)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
     if len(p) == 1 and p[0] == 0:
         raise ValueError("rational_roots of the zero polynomial")
     n = len(p) - 1

@@ -1,22 +1,22 @@
 """Sparse polynomials over a free noncommutative algebra.
 
 A word is a tuple of letter indices into a declared alphabet; a
-polynomial is a map from words to nonzero field coefficients.  The
-monomial order compares degree first, then the leftmost differing
-position, where a lower letter index wins.  On the bivariate alphabet
-{x, y} (x = 0, y = 1) this is exactly: longer words are larger, and at
-equal degree x beats y — so the order is multiplicative on both sides
-and leading monomials multiply: lm(f*g) = lm(f)lm(g).
+polynomial is a map from words to nonzero field coefficients, Fractions
+over Q and ints in [0, p) over F_p.  The monomial order compares degree
+first, then the leftmost differing position, where a lower letter index
+wins.  On the bivariate alphabet {x, y} (x = 0, y = 1) this is exactly:
+longer words are larger, and at equal degree x beats y — so the order is
+multiplicative on both sides and leading monomials multiply:
+lm(f*g) = lm(f)lm(g).
 
-Terms are merged in one place, the `NcPoly` constructor: it sums the
-coefficients of equal words and drops zero sums, so `+`, `-`, `*` and
-every caller that builds a polynomial hand it a raw stream of
-(word, coeff) pairs.
+Terms are merged in one place, the `NcPoly` constructor: it reduces
+each coefficient mod p over F_p, sums the coefficients of equal words
+and drops zero sums, so `+`, `-`, `*` and every caller that builds a
+polynomial hand it a raw stream of (word, coeff) pairs.
 
-Exact division has one core, `_divide_terms`, on {word: coeff} dicts
-(ints mod p over F_p, Fractions over Q).  `left_divide` and
-`right_divide` reach it through the thin `NcPoly` wrapper `_divide`,
-and the F_p factor oracle calls it directly on its int cofactors.  The
+Exact division has one core, `_divide_terms`, on {word: coeff} dicts.
+`left_divide` and `right_divide` hand it the operands' own `terms`, and
+the F_p factor oracle calls it directly on its int cofactors.  The
 core keeps the remainder as one mutable dict, subtracts each quotient
 term times g in place, and finds the remainder's leading word in a heap
 instead of scanning the whole remainder at every step.
@@ -29,7 +29,7 @@ from itertools import chain
 
 from ncfactor import textio
 from ncfactor.errors import FormatError
-from ncfactor.fields import PrimeField, field_spec, parse_field
+from ncfactor.fields import field_spec, parse_field
 
 NEG_INF = float("-inf")
 
@@ -144,22 +144,24 @@ class NcPoly:
         self.alphabet = alphabet
         self.field = field
         # A word that cancels is popped, and re-appended if it comes back.
-        zero = field.zero
+        p = field.characteristic
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
-            if coeff == zero:
+            if p:
+                coeff %= p
+            if not coeff:
                 continue
             word = tuple(word)
             acc = data.get(word)
             if acc is None:
                 data[word] = coeff
                 continue
-            coeff = acc + coeff
-            if coeff == zero:
-                del data[word]
-            else:
+            coeff = (acc + coeff) % p if p else acc + coeff
+            if coeff:
                 data[word] = coeff
+            else:
+                del data[word]
         self.terms = data
 
     @classmethod
@@ -254,7 +256,8 @@ class NcPoly:
     def monic(self):
         """(leading coefficient, self / leading coefficient)."""
         lc = self.leading_coeff()
-        return lc, self.scale(self.field.one / lc)
+        p = self.field.characteristic
+        return lc, self.scale(pow(lc, -1, p) if p else 1 / lc)
 
     def __repr__(self):
         if not self.terms:
@@ -353,22 +356,12 @@ def _divide_terms(fterms, gterms, left, p):
 
 def _divide(f, g, side):
     """`_divide_terms` on polynomials: q with f = g*q (side "left") or
-    f = q*g (side "right"), or None.  Over F_p the core runs on plain
-    ints mod p and the quotient comes back as field elements; over Q it
-    runs on the Fractions themselves."""
+    f = q*g (side "right"), or None."""
     f._compatible(g)
     if g.is_zero():
         raise ZeroDivisionError("%s division by the zero polynomial" % side)
-    field = f.field
-    left = side == "left"
-    if not isinstance(field, PrimeField):
-        quot = _divide_terms(f.terms, g.terms, left, 0)
-        return None if quot is None else NcPoly(f.alphabet, field, quot)
-    quot = _divide_terms({w: c.value for w, c in f.terms.items()},
-                         {w: c.value for w, c in g.terms.items()}, left, field.p)
-    if quot is None:
-        return None
-    return NcPoly(f.alphabet, field, {s: field.from_int(c) for s, c in quot.items()})
+    quot = _divide_terms(f.terms, g.terms, side == "left", f.field.characteristic)
+    return None if quot is None else NcPoly(f.alphabet, f.field, quot)
 
 
 def left_divide(f, g):

@@ -9,7 +9,7 @@ from ncfactor.errors import BudgetExceededError, SoundnessError
 from ncfactor.factoring import (_check_field, _metered, _plan, _poly_key,
                                 complete_factorizations, is_irreducible,
                                 left_factors)
-from ncfactor.fields import GF2, GF3, QQ, PrimeField
+from ncfactor.fields import GF2, GF3, QQ, PrimeField, PrimeFieldElement
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, left_divide, right_divide
 
@@ -227,30 +227,31 @@ def test_is_irreducible_budget_is_cumulative():
 
 
 def _reference_left_factors(f, k):
-    """The oracle's recurrence on field elements, written out plainly:
-    every full-degree cofactor h, then g by right division."""
+    """The oracle's recurrence on `PrimeFieldElement`s, written out
+    plainly: every full-degree cofactor h, then g by right division."""
     field = f.field
+    p = field.p
     w0 = f.leading_monomial()[:k]
     rem_deg = f.degree - k
     found = {}
-    for assignment in product(range(field.p), repeat=k):
-        gammas = [field.from_int(t) for t in assignment]
+    for assignment in product(range(p), repeat=k):
+        gammas = [PrimeFieldElement(t, p) for t in assignment]
         eta = {}
         for length in range(rem_deg, -1, -1):
             for v in product(range(f.alphabet.size), repeat=length):
-                val = f.coeff(w0 + v)
+                val = PrimeFieldElement(f.coeff(w0 + v), p)
                 for j in range(k):
                     longer = eta.get(w0[j:] + v)
                     if longer is not None:
                         val = val - gammas[j] * longer
-                if val != field.zero:
+                if val:
                     eta[v] = val
-        h = NcPoly(f.alphabet, field, eta)
+        h = NcPoly(f.alphabet, field, {v: c.value for v, c in eta.items()})
         if h.is_zero() or h.degree != rem_deg:
             continue
         g = right_divide(f, h)
         if g is not None and g * h == f:
-            found[tuple(sorted((w, c.value) for w, c in g.terms.items()))] = g
+            found[tuple(sorted(g.terms.items()))] = g
     return [found[key] for key in sorted(found)]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncfactor.errors import FormatError
-from ncfactor.fields import GF2, GF3, PrimeField, QQ, field_spec, parse_field
+from ncfactor.fields import GF2, GF3, PrimeField, PrimeFieldElement, QQ, field_spec, parse_field
 
 
 def test_rational_canonical_form():
@@ -15,14 +15,29 @@ def test_rational_canonical_form():
 
 
 def test_prime_field_basics():
-    five = PrimeField(5)
-    a = five.from_int(7)
+    a = PrimeFieldElement(7, 5)
     assert a == 2
-    assert (a + five.from_int(4)) == 1
-    assert (a * five.from_int(3)) == 1
-    assert (five.one / five.from_int(3)) == 2  # 3*2 = 6 = 1 mod 5
-    assert -five.from_int(2) == 3
-    assert bool(five.zero) is False
+    assert (a + PrimeFieldElement(4, 5)) == 1
+    assert (a * PrimeFieldElement(3, 5)) == 1
+    assert (PrimeFieldElement(1, 5) / PrimeFieldElement(3, 5)) == 2  # 3*2 = 6 = 1 mod 5
+    assert -PrimeFieldElement(2, 5) == 3
+    assert bool(PrimeFieldElement(0, 5)) is False
+
+
+def test_prime_field_elements_are_residues():
+    """Over F_p an element is the int in [0, p): `from_int` and `parse`
+    reduce, and `format` writes the residue."""
+    five = PrimeField(5)
+    assert (five.zero, five.one) == (0, 1)
+    for k in (-11, -5, -1, 0, 1, 4, 5, 7, 10 ** 20 + 3):
+        x = five.from_int(k)
+        assert type(x) is int and x == k % 5
+        y = five.parse(str(k))
+        assert type(y) is int and y == k % 5
+        assert five.format(x) == str(k % 5)
+    assert five.format(five.parse("-1")) == "4"
+    with pytest.raises(FormatError):
+        five.parse("1/2")
 
 
 def test_prime_field_rejects_bad_modulus():
@@ -34,12 +49,12 @@ def test_prime_field_rejects_bad_modulus():
 
 def test_mixed_prime_fields_rejected():
     with pytest.raises(ValueError):
-        GF2.one + GF3.one
+        PrimeFieldElement(1, 2) + PrimeFieldElement(1, 3)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        GF3.one / GF3.zero
+        PrimeFieldElement(1, 3) / PrimeFieldElement(0, 3)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, PrimeField(101)])
@@ -49,7 +64,7 @@ def test_field_axioms_on_random_triples(field):
         if field is QQ:
             a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
         else:
-            a, b, c = (field.from_int(rng.randrange(100)) for _ in range(3))
+            a, b, c = (PrimeFieldElement(rng.randrange(100), field.p) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c

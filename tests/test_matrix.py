@@ -4,7 +4,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from ncfactor.fields import GF2, GF3, QQ, PrimeField
+from ncfactor.fields import GF2, GF3, QQ, PrimeField, PrimeFieldElement
 from ncfactor.matrix import Matrix, integer_roots, rational_roots, upoly_eval
 
 
@@ -283,14 +283,34 @@ def test_inverse_and_det():
             assert m * inv == Matrix.identity(QQ, n)
 
 
+def _ref(field, x):
+    """x as a reference element, whose arithmetic shares no code with the
+    package: a Fraction over Q, a PrimeFieldElement over F_p."""
+    return PrimeFieldElement(x, field.p) if field.characteristic else Fraction(x)
+
+
+def _refs(field, rows):
+    return [[_ref(field, x) for x in r] for r in rows]
+
+
+def _val(x):
+    """A reference element as the package holds it: the residue over F_p."""
+    return x.value if type(x) is PrimeFieldElement else x
+
+
+def _vals(rows):
+    return [[_val(x) for x in r] for r in rows]
+
+
 def cofactor_det(m):
     n = m.nrows
+    row = _refs(m.field, m.rows)[0]
     if n == 1:
-        return m[0][0]
-    total = m.field.zero
+        return row[0]
+    total = _ref(m.field, 0)
     for j in range(n):
         sub = m.submatrix(range(1, n), [c for c in range(n) if c != j])
-        term = m[0][j] * cofactor_det(sub)
+        term = row[j] * cofactor_det(sub)
         total += term if j % 2 == 0 else -term
     return total
 
@@ -316,7 +336,7 @@ def greedy_independent_cols(m):
     """Keep each column that raises the rank of the columns kept so far."""
     kept = []
     for j in range(m.ncols):
-        if ref_rank(m.submatrix(range(m.nrows), kept + [j]).rows) > len(kept):
+        if ref_rank(_refs(m.field, m.submatrix(range(m.nrows), kept + [j]).rows)) > len(kept):
             kept.append(j)
     return kept
 
@@ -360,7 +380,7 @@ def test_core_against_references(kind):
             m = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)])
         else:
             m = _rand_low_rank(rng, field, nrows, ncols, entry)
-        assert m.rank() == ref_rank(m.rows)
+        assert m.rank() == ref_rank(_refs(field, m.rows))
         assert m.pivot_cols() == greedy_independent_cols(m)
         kernel = m.nullspace()
         assert len(kernel) == ncols - m.rank()
@@ -403,13 +423,14 @@ def test_core_on_fractional_rows():
 
 def ref_product(a, b):
     """Schoolbook triple loop over every index, zero entries included."""
+    ra, rb = _refs(a.field, a.rows), _refs(b.field, b.rows)
     out = []
     for i in range(a.nrows):
         row = []
         for j in range(b.ncols):
-            s = a.field.zero
+            s = _ref(a.field, 0)
             for k in range(a.ncols):
-                s = s + a[i][k] * b[k][j]
+                s = s + ra[i][k] * rb[k][j]
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
@@ -417,9 +438,8 @@ def ref_product(a, b):
 
 def _assert_product(a, b):
     prod = a * b
-    ref = ref_product(a, b)
-    assert prod.rows == ref
-    assert [type(x) for r in prod.rows for x in r] == [type(x) for r in ref for x in r]
+    assert prod.rows == ref_product(a, b)
+    assert all(type(x) is type(a.field.one) for r in prod.rows for x in r)
     return prod
 
 
@@ -456,8 +476,9 @@ def test_product_with_zero_and_identity_factors(field):
 
 # -- differential test: every public op against a naive reference -------
 #
-# The reference works on tuples of field elements with the field's own
-# + - * /, row by row, and shares no code with `Matrix`.
+# The reference works on tuples of reference elements (`_ref`) with their
+# own + - * /, row by row, and shares no code with `Matrix`; `_vals`
+# hands the same entries to `Matrix`.
 
 F5 = PrimeField(5)
 DIFF_FIELDS = (QQ, GF2, GF3, F5)
@@ -466,20 +487,21 @@ DIFF_FIELDS = (QQ, GF2, GF3, F5)
 def _draw(rng, field):
     if field is QQ:
         return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
-    return field.from_int(rng.randrange(field.p))
+    return _ref(field, rng.randrange(field.p))
 
 
 def _rand_rows(rng, field, nrows, ncols):
     """Zero, rank-one, sparse or dense rows: singular shapes are common."""
     kind = rng.randrange(4)
+    zero = _ref(field, 0)
     if kind == 0:
-        return [[field.zero] * ncols for _ in range(nrows)]
+        return [[zero] * ncols for _ in range(nrows)]
     if kind == 1:
         u = [_draw(rng, field) for _ in range(nrows)]
         v = [_draw(rng, field) for _ in range(ncols)]
         return [[a * b for b in v] for a in u]
     density = 0.3 if kind == 2 else 1.0
-    return [[_draw(rng, field) if rng.random() < density else field.zero
+    return [[_draw(rng, field) if rng.random() < density else zero
              for _ in range(ncols)] for _ in range(nrows)]
 
 
@@ -489,14 +511,14 @@ def _naive_rref(rows, field):
     pivots = []
     for c in range(len(rows[0])):
         top = len(pivots)
-        piv = next((i for i in range(top, len(rows)) if rows[i][c] != field.zero), None)
+        piv = next((i for i in range(top, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[top], rows[piv] = rows[piv], rows[top]
-        inv = field.one / rows[top][c]
+        inv = _ref(field, 1) / rows[top][c]
         rows[top] = [x * inv for x in rows[top]]
         for i in range(len(rows)):
-            if i != top and rows[i][c] != field.zero:
+            if i != top and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
         pivots.append(c)
@@ -510,8 +532,8 @@ def _naive_nullspace(rows, field):
     for fc in range(ncols):
         if fc in pivots:
             continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
+        v = [_ref(field, 0)] * ncols
+        v[fc] = _ref(field, 1)
         for k, pc in enumerate(pivots):
             v[pc] = -rref[k][fc]
         out.append(tuple(v))
@@ -520,7 +542,7 @@ def _naive_nullspace(rows, field):
 
 def _naive_inverse(rows, field):
     n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
+    aug = [list(r) + [_ref(field, int(i == j)) for j in range(n)]
            for i, r in enumerate(rows)]
     rref, pivots = _naive_rref(aug, field)
     if pivots[:n] != list(range(n)):
@@ -529,7 +551,7 @@ def _naive_inverse(rows, field):
 
 
 def _poly_mul(a, b, field):
-    out = [field.zero] * (len(a) + len(b) - 1)
+    out = [_ref(field, 0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -539,7 +561,7 @@ def _poly_mul(a, b, field):
 def _poly_add(a, b, field):
     if len(a) < len(b):
         a, b = b, a
-    return [x + (b[i] if i < len(b) else field.zero) for i, x in enumerate(a)]
+    return [x + (b[i] if i < len(b) else _ref(field, 0)) for i, x in enumerate(a)]
 
 
 def _laplace_det(entries, add, mul, neg, zero):
@@ -557,18 +579,19 @@ def _laplace_det(entries, add, mul, neg, zero):
 
 def _naive_det(rows, field):
     return _laplace_det(rows, lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a: -a, field.zero)
+                        lambda a: -a, _ref(field, 0))
 
 
 def _naive_charpoly(rows, field):
     """det(tI - M) expanded over polynomials in t, ascending."""
     n = len(rows)
-    entries = [[[-x, field.one] if i == j else [-x] for j, x in enumerate(r)]
+    zero, one = _ref(field, 0), _ref(field, 1)
+    entries = [[[-x, one] if i == j else [-x] for j, x in enumerate(r)]
                for i, r in enumerate(rows)]
     poly = _laplace_det(entries, lambda a, b: _poly_add(a, b, field),
                         lambda a, b: _poly_mul(a, b, field), lambda a: [-x for x in a],
-                        [field.zero])
-    return tuple(poly + [field.zero] * (n + 1 - len(poly)))
+                        [zero])
+    return tuple(poly + [zero] * (n + 1 - len(poly)))
 
 
 def _assert_normal(m):
@@ -585,8 +608,8 @@ def _assert_normal(m):
 
 
 def _assert_rows(m, field, expected):
-    """m holds exactly the field elements `expected`, of the field's type,
-    in normal form."""
+    """m holds exactly the elements `expected`, as values of the field's
+    type (ints over F_p), in normal form."""
     _assert_normal(m)
     expected = tuple(tuple(r) for r in expected)
     assert m.field == field
@@ -598,7 +621,7 @@ def _assert_rows(m, field, expected):
         assert m[i] == r
     for j in range(m.ncols):
         assert m.col(j) == tuple(r[j] for r in expected)
-    assert m.is_zero() == all(x == field.zero for r in expected for x in r)
+    assert m.is_zero() == all(x == 0 for r in expected for x in r)
 
 
 def test_matrix_ops_match_naive_reference():
@@ -610,21 +633,21 @@ def test_matrix_ops_match_naive_reference():
             if trial % 2:
                 ncols = nrows
             rows = _rand_rows(rng, field, nrows, ncols)
-            m = Matrix(field, rows)
+            m = Matrix(field, _vals(rows))
             _assert_rows(m, field, rows)
             other = _rand_rows(rng, field, nrows, ncols)
-            o = Matrix(field, other)
+            o = Matrix(field, _vals(other))
             _assert_rows(m + o, field, [[a + b for a, b in zip(r, s)]
                                         for r, s in zip(rows, other)])
             _assert_rows(m - o, field, [[a - b for a, b in zip(r, s)]
                                         for r, s in zip(rows, other)])
             _assert_rows(-m, field, [[-a for a in r] for r in rows])
             c = _draw(rng, field)
-            _assert_rows(m.scale(c), field, [[c * a for a in r] for r in rows])
+            _assert_rows(m.scale(_val(c)), field, [[c * a for a in r] for r in rows])
             _assert_rows(m.transpose(), field, list(zip(*rows)))
             _assert_rows(m.hstack(o), field, [list(r) + list(s) for r, s in zip(rows, other)])
             _assert_rows(m.vstack(o.transpose().transpose()), field, rows + other)
-            grid = [[field.zero] * (ncols + 1) for _ in range(nrows + 1)]
+            grid = [[_ref(field, 0)] * (ncols + 1) for _ in range(nrows + 1)]
             for row0, col0, block in ((0, 0, rows), (1, 1, other)):
                 for i, r in enumerate(block):
                     grid[row0 + i][col0:col0 + ncols] = r
@@ -635,10 +658,10 @@ def test_matrix_ops_match_naive_reference():
             _assert_rows(m.submatrix(ri, ci), field, [[rows[i][j] for j in ci] for i in ri])
             k = rng.randint(1, 5)
             right = _rand_rows(rng, field, ncols, k)
-            _assert_rows(m * Matrix(field, right), field,
-                         [[sum((r[t] * right[t][j] for t in range(ncols)), field.zero)
+            _assert_rows(m * Matrix(field, _vals(right)), field,
+                         [[sum((r[t] * right[t][j] for t in range(ncols)), _ref(field, 0))
                            for j in range(k)] for r in rows])
-            _assert_rows(Matrix.from_cols(field, [tuple(r) for r in rows]), field,
+            _assert_rows(Matrix.from_cols(field, [tuple(r) for r in _vals(rows)]), field,
                          list(zip(*rows)))
             rref, pivots = _naive_rref(rows, field)
             assert m.rank() == len(pivots)
@@ -663,11 +686,10 @@ def test_matrix_ops_match_naive_reference():
             assert all(type(x) is type(field.one) for x in poly)
         n = rng.randint(1, 5)
         _assert_rows(Matrix.identity(field, n), field,
-                     [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
-        _assert_rows(Matrix.zeros(field, n, n + 1), field, [[field.zero] * (n + 1)] * n)
+                     [[_ref(field, int(i == j)) for j in range(n)] for i in range(n)])
+        _assert_rows(Matrix.zeros(field, n, n + 1), field, [[_ref(field, 0)] * (n + 1)] * n)
         ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        _assert_rows(Matrix.from_ints(field, ints), field,
-                     [[field.from_int(x) for x in r] for r in ints])
+        _assert_rows(Matrix.from_ints(field, ints), field, _refs(field, ints))
     assert seen == {"zero", "rank-deficient", "full-rank", "non-square", "singular"}
 
 
@@ -689,13 +711,15 @@ def test_equal_matrices_from_differently_scaled_rows_are_equal():
         for _ in range(40):
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             rows = _rand_rows(rng, field, nrows, ncols)
-            m = Matrix(field, rows)
+            m = Matrix(field, _vals(rows))
             c = _draw(rng, field)
-            while c == field.zero:
+            while c == 0:
                 c = _draw(rng, field)
+            scaled = Matrix(field, _vals([[c * x for x in r] for r in rows]))
+            c, cinv = _val(c), _val(_ref(field, 1) / c)
             built = [
-                Matrix(field, [[c * x for x in r] for r in rows]).scale(field.one / c),
-                m.scale(c).scale(field.one / c),
+                scaled.scale(cinv),
+                m.scale(c).scale(cinv),
                 (m + m) - m,
                 m.transpose().transpose(),
                 Matrix.identity(field, nrows) * m,

@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -177,10 +179,13 @@ def test_division_by_zero_names_its_side():
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["Q", "F2", "F3", "F5"])
 def test_arithmetic_against_dict_reference(field):
-    """+, - and * against a plain-dict model on inputs built to cancel:
-    repeated words passed to the constructor, words that cancel and then
-    come back, a - a, and b holding the negation of some terms of a.
-    Coefficients are drawn as ints; the model keeps ints (mod p)."""
+    """+, -, *, scale, monic and both divisions against a plain-dict
+    model on inputs built to cancel: repeated words passed to the
+    constructor, words that cancel and then come back, a - a, and b
+    holding the negation of some terms of a.  Coefficients are drawn as
+    ints, handed to the constructor unreduced over F_p; the model keeps
+    ints (mod p).  Every stored coefficient is a nonzero Fraction over Q
+    and an int in (0, p) over F_p."""
     p = 0 if field is QQ else field.p
     ab = Alphabet.nvars(2)
 
@@ -192,11 +197,15 @@ def test_arithmetic_against_dict_reference(field):
         return {w: k for w, k in out.items() if k}
 
     def plain(f):
-        assert all(c != field.zero for c in f.terms.values()), "a zero coefficient is stored"
-        return {w: c.value if p else c for w, c in f.terms.items()}
+        for c in f.terms.values():
+            if p:
+                assert type(c) is int and 0 < c < p, "stored coefficient %r" % (c,)
+            else:
+                assert type(c) is Fraction and c != 0, "stored coefficient %r" % (c,)
+        return dict(f.terms)
 
     def build(pairs):
-        return NcPoly(ab, field, [(w, field.from_int(k)) for w, k in pairs])
+        return NcPoly(ab, field, [(w, k if p else Fraction(k)) for w, k in pairs])
 
     def draw(rng):
         pairs = []
@@ -211,6 +220,7 @@ def test_arithmetic_against_dict_reference(field):
         return pairs
 
     rng = random.Random(50 + p)
+    scalars = random.Random(60 + p)
     for _ in range(80):
         a_pairs = draw(rng)
         a = build(a_pairs)
@@ -224,12 +234,35 @@ def test_arithmetic_against_dict_reference(field):
         assert plain(a * b) == model([(w1 + w2, k1 * k2) for w1, k1 in ma for w2, k2 in mb])
         assert plain(a - a) == {} and (a - a).is_zero()
         assert plain(a + b - b) == plain(a)
+        c = scalars.randint(-4, 4)
+        assert plain(a.scale(field.from_int(c))) == model([(w, k * c) for w, k in ma])
+        if not ma or not mb:
+            continue
+        lw = min(dict(ma), key=lambda w: (-len(w), w))
+        lk = dict(ma)[lw]
+        lc, am = a.monic()
+        assert lc == lk and (type(lc) is int if p else type(lc) is Fraction)
+        inv = pow(lk, p - 2, p) if p else Fraction(1, lk)
+        assert plain(am) == model([(w, k * inv) for w, k in ma])
+        assert plain(left_divide(a * b, a)) == model(mb)
+        assert plain(right_divide(a * b, b)) == model(ma)
 
     # a word that cancels is dropped, and stored again after the others
     # when it comes back
     x, y = (0,), (1,)
     f = build([(x, 1), (y, 1), (x, -1), (x, 1)])
     assert list(f.terms) == [y, x] and plain(f) == model([(y, 1), (x, 1)])
+
+
+def test_mixed_prime_fields_rejected():
+    """An F_p coefficient is a bare int, so only `_compatible` keeps
+    polynomials over F2 and F3 apart."""
+    f = NcPoly.variable(AB, GF2, 0) + NcPoly.one(AB, GF2)
+    g = NcPoly.variable(AB, GF3, 0) + NcPoly.one(AB, GF3)
+    assert f.terms == g.terms and f != g
+    for op in (operator.add, operator.sub, operator.mul, left_divide, right_divide):
+        with pytest.raises(ValueError, match="alphabet/field mismatch"):
+            op(f, g)
 
 
 def test_support_and_leading_monomial_follow_word_key():
