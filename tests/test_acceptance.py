@@ -172,17 +172,52 @@ def _criterion_4_sources(rng, field, n, degree):
                                  for k in range(degree)])
 
 
-def test_criterion_4_embedding_preserves_factorizations():
-    """The paper's theorem, whole tree: every complete factorization of
-    the bivariate image, each factor pulled back by `recover_circuit`,
-    is a complete factorization of f, and each of f's is reached.
+def _check_theorem(f, image, automaton):
+    """Every complete factorization of `image`, each factor pulled back
+    by `recover_circuit`, is one of f's, each of f's is reached, and no
+    two of the image's reach the same one.  Returns f's tree."""
+    tree_f = complete_factorizations(f)
+    tree_img = complete_factorizations(image)
+    recovered = set()
+    for scalar, factors in tree_img:
+        back = [recover_circuit(circuit_from_poly(g), automaton).expand()
+                for g in factors]
+        product_back = NcPoly.constant(f.alphabet, f.field, scalar)
+        for g in back:
+            product_back = product_back * g
+        assert product_back == f
+        recovered.add(tuple(g.monic()[1] for g in back))
+    assert recovered == {factors for _s, factors in tree_f}, f
+    assert len(tree_img) == len(tree_f) == len(recovered), f
+    return tree_f
 
-    Over F2 and F3, n = 2..3, inputs given as polynomials, circuits and
-    ABPs; compact mode at degree <= 3, paper mode at degree 2 (its
+
+def test_criterion_4_embedding_preserves_factorizations():
+    """The paper's theorem, whole tree and one to one: the complete
+    factorizations of the bivariate image, each factor pulled back by
+    `recover_circuit`, are exactly the complete factorizations of f.
+
+    First 50 seeded random polynomials over F2, n = 2, compact mode;
+    then over F2 and F3, n = 2..3, inputs given as polynomials, circuits
+    and ABPs; compact mode at degree <= 3, paper mode at degree 2 (its
     images have degree 28, and the oracle's cost there is ROADMAP
     item 1).  Factors come back up to a scalar, so the recovered ones
     are compared after monic scaling, and their product times the
     image's scalar must be f itself."""
+    rng = random.Random(1004)
+    embedding = Embedding.for_variables(2, "compact")
+    automaton = build_automaton(embedding.wordset)
+    random_checked = 0
+    trials = 0
+    while random_checked < 50:
+        trials += 1
+        assert trials < 500
+        f = rand_poly(rng, 2, GF2, max_deg=2, max_terms=3)
+        if f.degree < 1:
+            continue
+        _check_theorem(f, phi_poly(f, embedding), automaton)
+        random_checked += 1
+
     rng = random.Random(1004)
     checked = several = irreducible = 0
     for field in (GF2, GF3):
@@ -198,22 +233,13 @@ def test_criterion_4_embedding_preserves_factorizations():
                         f, image = source.expand(), phi(source, embedding).expand()
                     if f.degree < 1:
                         continue
-                    tree_f = complete_factorizations(f)
-                    recovered = set()
-                    for scalar, factors in complete_factorizations(image):
-                        back = [recover_circuit(circuit_from_poly(g), automaton).expand()
-                                for g in factors]
-                        product_back = NcPoly.constant(f.alphabet, field, scalar)
-                        for g in back:
-                            product_back = product_back * g
-                        assert product_back == f
-                        recovered.add(tuple(g.monic()[1] for g in back))
-                    assert recovered == {factors for _s, factors in tree_f}, f
+                    tree_f = _check_theorem(f, image, automaton)
                     checked += 1
                     several += len(tree_f) > 1
                     irreducible += len(tree_f) == 1 and len(tree_f.factorizations[0][1]) == 1
     assert checked >= 70 and several >= 16 and irreducible >= 16
-    report(4, "embedding preserves complete factorizations (%d instances)" % checked)
+    report(4, "embedding preserves complete factorizations (%d + %d instances)"
+           % (random_checked, checked))
 
 
 def test_criterion_5_non_ufd_witness():

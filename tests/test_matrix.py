@@ -440,6 +440,7 @@ def _assert_product(a, b):
     prod = a * b
     assert prod.rows == ref_product(a, b)
     assert all(type(x) is type(a.field.one) for r in prod.rows for x in r)
+    _assert_normal(prod)
     return prod
 
 
