@@ -308,16 +308,51 @@ def test_linmat_outputs_are_pinned():
             out.append(res.to_text())
         else:
             out.append("irreducible %s\n" % res.reason)
-    while len(out) < 62:
+    for alpha, beta, z in _pinned_quaternions(rng):
+        out.append(zdiv_to_factorization(alpha, beta, z).to_text())
+    assert len(out) == 62
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == LINMAT_OUTPUT_SHA256
+
+
+def _pinned_quaternions(rng):
+    """The 12 split quaternions (alpha, beta, z) of
+    `test_linmat_outputs_are_pinned`, drawn after its 3x3 inputs."""
+    found = 0
+    while found < 12:
         # beta = (a0^2 - alpha*a1^2) / a2^2 makes the norm of a0 + a1*u + a2*v vanish
         alpha = rng.choice([a for a in range(-9, 10) if a])
         a0, a1, a2 = rng.randint(-4, 4), rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))
         beta = Fraction(a0 * a0 - alpha * a1 * a1, a2 * a2)
         if beta:
-            z = Quaternion(alpha, beta, (a0, a1, a2, 0))
-            out.append(zdiv_to_factorization(alpha, beta, z).to_text())
+            yield alpha, beta, Quaternion(alpha, beta, (a0, a1, a2, 0))
+            found += 1
+
+
+# sha256 of the joined outputs of `test_fact2zdiv_outputs_are_pinned`,
+# recorded before the certificate layer moved onto integer rows.
+FACT2ZDIV_SHA256 = "ab6124691fa720a5998eba16aae22a85d3e6180c6d9299c871a4bcf112db4c1a"
+
+
+def test_fact2zdiv_outputs_are_pinned():
+    """The zero-divisor pairs that `quaternion-fact2zdiv` prints for the 12
+    certificates of `test_linmat_outputs_are_pinned`, byte for byte: each
+    certificate is read back from its text, P and Q are undone as the
+    subcommand does, and `factorization_to_zdiv` runs on the result."""
+    rng = random.Random(808)
+    for _lin in _pinned_3x3_inputs(rng):
+        pass
+    out = []
+    for alpha, beta, z in _pinned_quaternions(rng):
+        text = zdiv_to_factorization(alpha, beta, z).to_text()
+        f, g = _split_cert_to_two_factors(FactorizationCert.from_text(text))
+        z1, z2 = factorization_to_zdiv(alpha, beta, f, g)
+        assert hmul(z1, z2).is_zero()
+        out.append("z1 %s\nz2 %s\n" % (",".join(str(c) for c in z1.coords),
+                                       ",".join(str(c) for c in z2.coords)))
+    assert len(out) == 12
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == LINMAT_OUTPUT_SHA256
+    assert digest == FACT2ZDIV_SHA256
 
 
 def test_factor_3x3_with_eigenvalues_of_20_to_60_digits():
@@ -802,3 +837,38 @@ def test_matrix_entries_read_as_fraction_reads_them():
             Fraction(token)
         with pytest.raises((ValueError, ZeroDivisionError)):
             _rational(token)
+
+
+# Tokens the matrix-block reader accepts, each as `Fraction(token)` reads it.
+MATRIX_TOKENS = ("0", "3", "-3", "+3", "007", "-0", "12345678901234567890", "1/2", "-4/6",
+                 "+2/4", "10/5", "-0/7", "1.5", "-0.25", ".5", "2.", "2e3", "1E-2",
+                 "-3.5e1", "1_0", "٣", "٣/٤", "１２")
+
+
+def test_read_matrix_matches_fraction_entries():
+    """Seeded blocks of integers, signs, reducible ratios, decimals,
+    exponents and non-ASCII digits read into the matrix whose entries are
+    `Fraction(token)`, alone and inside a linear matrix."""
+    from ncfactor import textio
+    rng = random.Random(3141)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(0, 2)
+        blocks = [[[rng.choice(MATRIX_TOKENS) for _ in range(d)] for _ in range(d)]
+                  for _ in range(n + 1)]
+        expected = [Matrix(QQ, [[Fraction(t) for t in row] for row in block])
+                    for block in blocks]
+        lines = [" ".join(row) for block in blocks for row in block]
+        assert [textio.read_matrix(lines, b * d, d) for b in range(n + 1)] == expected
+        text = "linmat d=%d n=%d field=Q\n%s\n" % (d, n, "\n".join(lines))
+        assert list(LinearMatrix.from_text(text).mats) == expected
+
+
+def test_read_matrix_refuses_malformed_blocks():
+    """A bad entry or a short or long row is a format error."""
+    from ncfactor.errors import FormatError
+    for bad in ("3/", "1/0", "+-3", "--3", "1/-2", "1/+2", "3/4/5", "/3", "0x1", "1e",
+                "nan", "½", "²", "", "1 2"):
+        rows = ["1 0", "%s 1" % bad if bad else "1"]
+        with pytest.raises(FormatError):
+            LinearMatrix.from_text("linmat d=2 n=0 field=Q\n%s\n" % "\n".join(rows))
