@@ -36,12 +36,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
-from ncfactor.matrix import Matrix, integer_roots
-from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, mu_matrix,
+from ncfactor.matrix import (Matrix, independent, int_kernel, integer_roots,
+                             over_one_denominator, rootless_prime)
+from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, left_orbit, mu_matrix,
                                  mv_matrix)
 
 
@@ -54,9 +56,9 @@ class LinearMatrix:
         mats = tuple(mats)
         if not mats:
             raise ValueError("need at least the constant matrix A0")
-        d = mats[0].nrows
+        d = len(mats[0].nums)
         for m in mats:
-            if not m.is_square or m.nrows != d or m.field != QQ:
+            if len(m.nums) != d or len(m.nums[0]) != d or m.field != QQ:
                 raise ValueError("coefficient matrices must be square rational, equal size")
         self.d = d
         self.n = len(mats) - 1
@@ -99,22 +101,24 @@ class LinearMatrix:
         nilpotent normalized coefficients N_i = A0^-1 A_i (all length-d
         products vanish).  Tested on the joint images V_0 = Q^d,
         V_{k+1} = span of all N_i V_k: they are nested, so each step
-        either shrinks the image or has reached a nonzero fixed space."""
-        a0inv = self.constant.inverse()
-        if a0inv is None:
-            return False
-        gens = [a0inv * m for m in self.mats[1:]]
-        image = Matrix.identity(QQ, self.d)
+        either shrinks the image or has reached a nonzero fixed space.
+        The images are spans of int vectors, and the N_i are taken up to
+        a positive scale, which changes no span."""
+        gens = [m.nums for m in self.mats[1:]]
+        if self.constant != _identity(self.d):
+            a0inv = self.constant.inverse()
+            if a0inv is None:
+                return False
+            gens = [_mul_rows(a0inv.nums, g) for g in gens]
+        image = _unit_vectors(self.d)
         while gens:
-            # the columns of each g*image as int vectors: scaling a column
-            # changes no independence
-            vecs = [v for g in gens for v in zip(*(g * image).nums)]
-            vecs = [vecs[j] for j in Matrix.from_cols(QQ, vecs).pivot_cols()]
+            vecs = [_apply(g, v) for g in gens for v in image]
+            vecs = [vecs[j] for j in independent(vecs)]
             if not vecs:
                 return True
-            if len(vecs) == image.ncols:
+            if len(vecs) == len(image):
                 return False
-            image = Matrix.from_cols(QQ, vecs)
+            image = vecs
         return True
 
     # -- serialization -------------------------------------------------
@@ -216,24 +220,40 @@ class Irreducible:
 
 # -- certificate verification ------------------------------------------
 
+def _scalar(nums):
+    """c when the int rows are c times the identity, else None."""
+    c = nums[0][0]
+    for i, r in enumerate(nums):
+        for j, x in enumerate(r):
+            if x != (c if i == j else 0):
+                return None
+    return c
+
+
 def _cleared(mats):
     """(s, [s*m for m in mats]) on integers, s > 0 the lcm of every
-    denominator in the group; each s*m as rows of its nonzero (column,
-    entry) pairs, or None when m is zero."""
+    denominator in the group.  The constant s*m0 is the int c when it is
+    c*I (a factor's constant term mostly is I); every other s*m is given
+    as its nonzero rows (i, row i's nonzero (column, entry) pairs), and
+    as None when it is zero."""
     s = lcm(*(m.den for m in mats))
     out = []
-    for m in mats:
+    for k, m in enumerate(mats):
         f = s // m.den
-        rows = [[(j, x * f) for j, x in enumerate(r) if x] for r in m.nums]
-        out.append(rows if any(rows) else None)
+        c = None if k else _scalar(m.nums)
+        if c is None:
+            rows = [(i, [(j, x * f) for j, x in enumerate(r) if x])
+                    for i, r in enumerate(m.nums) if any(r)]
+            out.append(rows or None)
+        else:
+            out.append(c * f or None)
     return s, out
 
 
 def _times(coeffs, lin):
     """Coefficient matrices {word: C} of (sum_w C_w w) * lin on integer
     rows: each word is extended by lin's A0 (no letter) or A_i (letter
-    x_i), given as `_cleared` rows (None skips a zero coefficient); zero
-    products are dropped."""
+    x_i), given as by `_cleared`; zero products are dropped."""
     out = {}
     for word, c in coeffs.items():
         d = len(c)
@@ -242,22 +262,35 @@ def _times(coeffs, lin):
                 continue
             key = word + (k - 1,) if k else word
             acc = out.get(key)
+            if type(a) is int:
+                out[key] = ([[a * x for x in row] for row in c] if acc is None else
+                            [[y + a * x for y, x in zip(acc_row, row)]
+                             for acc_row, row in zip(acc, c)])
+                continue
             if acc is None:
                 acc = out[key] = [[0] * d for _ in range(d)]
             for row, acc_row in zip(c, acc):
-                for x, a_row in zip(row, a):
-                    if x:
-                        for j, y in a_row:
-                            acc_row[j] += x * y
+                if any(row):
+                    for i, a_row in a:
+                        x = row[i]
+                        if x:
+                            for j, y in a_row:
+                                acc_row[j] += x * y
     return {w: m for w, m in out.items() if any(map(any, m))}
 
 
 def _product(groups, d):
     """(s, {word: C}): s > 0 and the integer coefficient matrices of s
     times the product of the groups, each a linear matrix's mats ([m]
-    for a constant m), every group scaled by its own `_cleared` factor."""
-    coeffs, scale = {(): [[int(i == j) for j in range(d)] for i in range(d)]}, 1
-    for mats in groups:
+    for a constant m), every group scaled by the lcm of its own
+    denominators (`_cleared`); no group gives the identity."""
+    if not groups:
+        return 1, {(): _unit_vectors(d)}
+    first = groups[0]
+    scale = lcm(*(m.den for m in first))
+    coeffs = {(k - 1,) if k else (): [[x * (scale // m.den) for x in r] for r in m.nums]
+              for k, m in enumerate(first) if not m.is_zero()}
+    for mats in groups[1:]:
         s, rows = _cleared(mats)
         coeffs = _times(coeffs, rows)
         scale *= s
@@ -274,7 +307,7 @@ def verify_cert(cert, L):
     exactly when s_rhs*lhs_w == s_lhs*rhs_w for every word w."""
     if cert.p.nrows != L.d or cert.q.nrows != L.d:
         raise ValueError("certificate dimension mismatch")
-    if cert.p.det() == 0 or cert.q.det() == 0:
+    if cert.p.rank() < L.d or cert.q.rank() < L.d:
         return False
     if any(factor.d != L.d for factor in cert.factors):
         raise ValueError("factor dimension mismatch")
@@ -301,7 +334,7 @@ def product_linear(factors):
         b = list(nxt.mats[1:]) + [zero] * (n - nxt.n)
         for ai in a:
             for bj in b:
-                if not (ai * bj).is_zero():
+                if any(map(any, _mul_rows(ai.nums, bj.nums))):
                     raise ValueError("product of factors is not linear")
         mats = [acc.constant * nxt.constant]
         for i in range(n):
@@ -322,25 +355,60 @@ def is_monic(L):
     return h.rank() == L.d and v.rank() == L.d
 
 
+# -- int-row helpers -----------------------------------------------------
+
+# The identity matrices of the 3x3 algorithm and the quaternion gadget,
+# built once: immutable constants.
+_IDENTITY = {k: Matrix.identity(QQ, k) for k in range(1, 5)}
+
+
+def _identity(d):
+    return _IDENTITY.get(d) or Matrix.identity(QQ, d)
+
+
+def _unit_vectors(d):
+    return [[int(i == j) for i in range(d)] for j in range(d)]
+
+
+def _apply(rows, v):
+    """The int vector rows * v."""
+    return [sum(map(mul, r, v)) for r in rows]
+
+
+def _mul_rows(a, b):
+    """The product of two matrices given as int rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+
+
 # -- common eigenvector machinery --------------------------------------
 
-def _normalize_line(w):
-    for c in w:
-        if c != 0:
-            return tuple(x / c for x in w)
+def _normalize_line(v):
+    """The rational vector v / v_c, c the first nonzero entry of the int
+    vector v; None when v is zero."""
+    for c in v:
+        if c:
+            return tuple(Fraction(x, c) for x in v)
     return None
 
 
 def _eigenvalues(m, roots):
-    """The rational eigenvalues of m = N / den with multiplicity, sorted:
-    r / den for the integer roots r of N's monic integer charpoly.
-    Looked up in the dict `roots` or computed and stored there for m and
-    its transpose, which has the same charpoly."""
+    """The integer roots r of the monic integer charpoly of m's int rows N,
+    with multiplicity, sorted: m = N / den has the rational eigenvalues
+    r / den.  Looked up in the dict `roots` or computed and stored there
+    for m and its transpose, which has the same charpoly.
+
+    A cubic charpoly without an integer root is irreducible over Q.  A
+    prime modulo which it has no root proves that it has no rational
+    root; a root at every prime below the bound is what a missed root
+    looks like, and raises SoundnessError (also under python -O)."""
     found = roots.get(m)
     if found is None:
-        den = m.den
-        found = roots[m] = roots[m.transpose()] = [
-            (Fraction(r, den), mult) for r, mult in integer_roots(m.int_charpoly())]
+        charpoly = m.int_charpoly()
+        found = roots[m] = roots[m.transpose()] = integer_roots(charpoly)
+        if not found and len(charpoly) == 4 and rootless_prime(charpoly) is None:
+            raise SoundnessError("a cubic charpoly without integer roots has a root "
+                                 "modulo every prime below the bound")
     return found
 
 
@@ -352,10 +420,12 @@ def common_eigenlines(mats, side="right", roots=None):
     `_eigenvalues` shared by the calls of one search, saves computing a
     charpoly's roots twice.
 
-    On the subspace with basis matrix s, each eigenvalue lam of the next
-    matrix a narrows s to s * kernel(a*s - lam*s).  A matrix scalar on s
-    leaves s as it is (its one such kernel is all of s), and different
-    eigenvalue tuples give subspaces that meet only in 0."""
+    On the subspace spanned by the columns of s, each eigenvalue lam of
+    the next matrix a narrows s to s * kernel(a*s - lam*s).  A matrix
+    scalar on s leaves s as it is (its one such kernel is all of s), and
+    different eigenvalue tuples give subspaces that meet only in 0.  The
+    columns are int vectors: with a = N / den and lam = r / den the
+    kernel is that of N*s - r*s, and scaling a column changes no line."""
     if roots is None:
         roots = {}
     if not mats:
@@ -367,59 +437,57 @@ def common_eigenlines(mats, side="right", roots=None):
 
     def rec(s, lams):
         if len(lams) == len(work):
-            out.append((_normalize_line(s.col(0)), lams))
+            out.append((_normalize_line(s[0]), lams))
             return
         a = work[len(lams)]
-        prod = a * s
-        for lam, _mult in _eigenvalues(a, roots):
-            kernel = (prod - s.scale(lam)).nullspace()
+        prods = [_apply(a.nums, v) for v in s]
+        for r, _mult in _eigenvalues(a, roots):
+            cols = [[x - r * y for x, y in zip(nv, v)] for nv, v in zip(prods, s)]
+            kernel = int_kernel(list(zip(*cols)))
             if kernel:
-                rec(s * Matrix.from_cols(QQ, kernel), lams + (lam,))
+                rec([_apply(list(zip(*s)), k) for k in kernel], lams + (Fraction(r, a.den),))
 
-    rec(Matrix.identity(QQ, work[0].nrows), ())
+    rec(_unit_vectors(work[0].nrows), ())
     out.sort()
     return out
 
 
 # -- split/assembly helpers ---------------------------------------------
 
-def _complete_basis(vectors, d):
-    """Extend independent vectors to a basis using standard basis vectors:
-    the pivot columns of [vectors | I] pick the first e_i that are
-    independent of everything before them."""
+def _complete_basis(vectors, den, d):
+    """Extend independent int vectors, read over den, to a basis using
+    standard basis vectors (den * e_i, so the basis is over den too): the
+    first e_i that are independent of everything before them."""
     k = len(vectors)
-    ident = Matrix.identity(QQ, d)
-    cols = [tuple(v) for v in vectors] + [ident.col(i) for i in range(d)]
-    pivots = Matrix.from_cols(QQ, cols).pivot_cols()
+    cols = [list(v) for v in vectors] + [[den * x for x in e] for e in _unit_vectors(d)]
+    pivots = independent(cols)
     assert pivots[:k] == list(range(k)), "expected independent vectors"
     return [cols[j] for j in pivots]
-
-
-def _place(m, base, row0, col0):
-    """base with the block m written over it at (row0, col0)."""
-    return Matrix.from_blocks(QQ, base.nrows, base.ncols, [(0, 0, base), (row0, col0, m)])
 
 
 def _lift_factor(factor, d, off):
     """Lift a linear factor to d x d at diagonal offset off: constant
     block inside an identity, coefficient blocks inside zeros."""
-    ident, zero = Matrix.identity(QQ, d), Matrix.zeros(QQ, d, d)
-    return LinearMatrix([_place(factor.mats[0], ident, off, off)]
-                        + [_place(m, zero, off, off) for m in factor.mats[1:]])
+    return LinearMatrix(
+        [Matrix.from_blocks(QQ, d, d, [(0, 0, _identity(d)), (off, off, factor.mats[0])])]
+        + [Matrix.from_blocks(QQ, d, d, [(off, off, m)]) for m in factor.mats[1:]])
 
 
 def _unip_factor(ds, d, k):
-    """[[I,0],[D,I]] with D = sum D_i x_i sitting under the top-left k block."""
-    zero = Matrix.zeros(QQ, d, d)
-    return LinearMatrix([Matrix.identity(QQ, d)] + [_place(di, zero, k, 0) for di in ds])
+    """[[I,0],[D,I]] with D = sum D_i x_i sitting under the top-left k
+    block; each D_i given as (int rows, den)."""
+    top = [[0] * d for _ in range(k)]
+    return LinearMatrix([_identity(d)] + [
+        Matrix.from_nums(QQ, top + [list(r) + [0] * (d - k) for r in rows], den)
+        for rows, den in ds])
 
 
 def _scalar_family(lams, d):
     """Data (p, q, factors, flags) when every coefficient is lam_i*I:
     L = prod_pos diag(1, .., 1 + sum lam_i x_i, .., 1), one factor per
     diagonal position."""
-    zero, ident = Matrix.zeros(QQ, d, d), Matrix.identity(QQ, d)
-    factors = [LinearMatrix([ident] + [_place(Matrix(QQ, [[lam]]), zero, pos, pos)
+    ident = _identity(d)
+    factors = [LinearMatrix([ident] + [Matrix.from_blocks(QQ, d, d, [(pos, pos, Matrix(QQ, [[lam]]))])
                                        for lam in lams])
                for pos in range(d)]
     return ident, ident, factors, [False] * d
@@ -427,21 +495,26 @@ def _scalar_family(lams, d):
 
 def _all_scalar(mats):
     """Per-matrix lambdas when every coefficient matrix is lambda*I."""
-    ident = Matrix.identity(QQ, mats[0].nrows)
-    lams = [m[0][0] for m in mats]
-    return lams if all(m == ident.scale(lam) for m, lam in zip(mats, lams)) else None
+    if any(_scalar(m.nums) is None for m in mats):
+        return None
+    return [Fraction(m.nums[0][0], m.den) for m in mats]
 
 
-def _diag(a, b):
-    """The block-diagonal matrix diag(a, b)."""
-    return Matrix.from_blocks(QQ, a.nrows + b.nrows, a.ncols + b.ncols,
-                              [(0, 0, a), (a.nrows, a.ncols, b)])
+def _diag_times(a, b, m):
+    """diag(a, b) * m, assembled once from int rows: a times the top rows
+    of m over b times the rest."""
+    den = lcm(a.den, b.den)
+    k = a.nrows
+    rows = [[x * (den // blk.den) for x in r]
+            for blk, part in ((a, m.nums[:k]), (b, m.nums[k:]))
+            for r in _mul_rows(blk.nums, part)]
+    return Matrix.from_nums(QQ, rows, den * m.den)
 
 
 def _whole(L):
     """Data (p, q, factors, flags) of a side that is not split further:
     identity basis changes and L itself, no factor when L is constant."""
-    ident = Matrix.identity(QQ, L.d)
+    ident = _identity(L.d)
     return (ident, ident, [L], [False]) if L.degree else (ident, ident, [], [])
 
 
@@ -456,24 +529,31 @@ def _split(L, p, pinv, k, split_top, split_bottom):
         diag(pt, pb) [[T, 0], [D, B]] diag(qt, qb)
             = diag(pt*T*qt, I) [[I, 0], [pb*D*qt, I]] diag(I, pb*B*qb),
 
-    so P = diag(pt, pb)*p and Q = p^-1*diag(qt, qb)."""
-    conj = [p * m * pinv for m in L.mats]
+    so P = diag(pt, pb)*p and Q = p^-1*diag(qt, qb).  Only the
+    coefficients are conjugated, on int rows (the constant term stays
+    I), and each block becomes a Matrix once."""
     d = L.d
-    head, tail = range(k), range(k, d)
-    for m in conj[1:]:
-        assert m.submatrix(head, tail).is_zero(), "split subspace is not invariant"
-    pt, qt, top, top_flags = split_top(LinearMatrix([m.submatrix(head, head) for m in conj]))
-    pb, qb, bottom, bottom_flags = split_bottom(
-        LinearMatrix([m.submatrix(tail, tail) for m in conj]))
+    tops, bottoms, lows = [], [], []
+    for m in L.mats[1:]:
+        rows = _mul_rows(_mul_rows(p.nums, m.nums), pinv.nums)
+        den = p.den * m.den * pinv.den
+        assert not any(x for r in rows[:k] for x in r[k:]), "split subspace is not invariant"
+        tops.append(Matrix.from_nums(QQ, [r[:k] for r in rows[:k]], den))
+        bottoms.append(Matrix.from_nums(QQ, [r[k:] for r in rows[k:]], den))
+        lows.append(([r[:k] for r in rows[k:]], den))
+    pt, qt, top, top_flags = split_top(LinearMatrix([_identity(k)] + tops))
+    pb, qb, bottom, bottom_flags = split_bottom(LinearMatrix([_identity(d - k)] + bottoms))
     factors = [_lift_factor(f, d, 0) for f in top]
     flags = list(top_flags)
-    ds = [pb * m.submatrix(tail, head) * qt for m in conj[1:]]
-    if any(not x.is_zero() for x in ds):
+    ds = [(_mul_rows(_mul_rows(pb.nums, low), qt.nums), pb.den * den * qt.den)
+          for low, den in lows]
+    if any(any(map(any, rows)) for rows, _den in ds):
         factors.append(_unip_factor(ds, d, k))
         flags.append(True)
     factors.extend(_lift_factor(f, d, k) for f in bottom)
     flags.extend(bottom_flags)
-    return _diag(pt, pb) * p, pinv * _diag(qt, qb), factors, flags
+    q = _diag_times(qt.transpose(), qb.transpose(), pinv.transpose()).transpose()
+    return _diag_times(pt, pb, p), q, factors, flags
 
 
 def _eigen_split(L, roots):
@@ -501,12 +581,14 @@ def _eigen_candidates(L, roots):
     d, coeffs = L.d, L.mats[1:]
     small = lambda block: _factor_small(block, roots)
     for w, _lams in common_eigenlines(coeffs, "right", roots):
-        cols = _complete_basis([w], d)
-        pinv = Matrix.from_cols(QQ, cols[1:] + cols[:1])
+        den, w = over_one_denominator(w)
+        cols = _complete_basis([w], den, d)
+        pinv = Matrix.from_nums(QQ, list(zip(*(cols[1:] + cols[:1]))), den)
         yield _split(L, pinv.inverse(), pinv, d - 1, small, _whole)
     if d == 3:
         for w, _lams in common_eigenlines(coeffs, "left", roots):
-            p = Matrix(QQ, _complete_basis([w], d))
+            den, w = over_one_denominator(w)
+            p = Matrix.from_nums(QQ, _complete_basis([w], den, d), den)
             yield _split(L, p, p.inverse(), 1, _whole, small)
 
 
@@ -539,7 +621,7 @@ def factor_3x3(L):
     if L.d != 3:
         raise ValueError("factor_3x3 expects 3x3 linear matrices")
     original = L
-    pre = Matrix.identity(QQ, 3)
+    pre = _identity(3)
     if L.constant != pre:
         pre = L.constant.inverse()
         if pre is None:
@@ -576,7 +658,7 @@ def quaternion_linmat(alpha, beta):
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0 or beta == 0:
         raise ValueError("quaternion parameters must be nonzero")
-    return LinearMatrix([Matrix.identity(QQ, 4), mu_matrix(alpha), mv_matrix(beta)])
+    return LinearMatrix([_identity(4), mu_matrix(alpha), mv_matrix(beta)])
 
 
 def zdiv_to_factorization(alpha, beta, z):
@@ -590,11 +672,11 @@ def zdiv_to_factorization(alpha, beta, z):
     if not is_zero_divisor(z):
         raise ValueError("z must be a zero divisor")
     L = quaternion_linmat(alpha, beta)
-    orbit = [hmul(b, z).coords for b in Quaternion.basis(alpha, beta)]
-    rows = [orbit[j] for j in Matrix.from_cols(QQ, orbit).pivot_cols()]
+    den, orbit = left_orbit(z)
+    rows = [orbit[j] for j in independent(orbit)]
     r = len(rows)
     assert 1 <= r <= 3, "a zero divisor generates a proper nonzero left ideal"
-    p = Matrix(QQ, _complete_basis(rows, 4))
+    p = Matrix.from_nums(QQ, _complete_basis(rows, den, 4), den)
     cert = FactorizationCert(*_split(L, p, p.inverse(), r, _whole, _whole))
     _check_cert(cert, L)
     return cert
@@ -608,12 +690,14 @@ def factorization_to_zdiv(alpha, beta, f, g):
     subspace with M_u W <= W and M_v W <= W.  Its annihilator is the
     coordinate space of a proper left ideal, whose elements have
     linearly dependent left orbits {w, uw, vw, uvw}; the dependency
-    coefficients give the complementary zero divisor.
+    coefficients give the complementary zero divisor.  W is spanned by
+    int columns over one denominator; only the zero divisors' coordinates
+    are Fractions.
     """
     L = quaternion_linmat(alpha, beta)
     if f.d != 4 or g.d != 4:
         raise ValueError("expected 4x4 factors")
-    ident4 = Matrix.identity(QQ, 4)
+    ident4 = _identity(4)
     cert = FactorizationCert(ident4, ident4, [f, g], [False, False])
     if not verify_cert(cert, L):
         raise ValueError("F*G does not equal the quaternion linear matrix")
@@ -623,36 +707,35 @@ def factorization_to_zdiv(alpha, beta, f, g):
 
     g0inv = g.constant.inverse()
     assert g0inv is not None, "G(0,0) is invertible since F0*G0 = I"
-    fn = f.rmul(g.constant)
-    gn = g.lmul(g0inv)
-    assert fn.constant == ident4 and gn.constant == ident4
-    pad = lambda lin: list(lin.mats[1:]) + [Matrix.zeros(QQ, 4, 4)] * (2 - lin.n)
-    fx, fy = pad(fn)
-    gx, gy = pad(gn)
-    for a in (fx, fy):
-        for b_ in (gx, gy):
-            assert (a * b_).is_zero(), "degree-2 coefficients must cancel"
+    assert f.constant * g.constant == ident4
+    zero = Matrix.zeros(QQ, 4, 4)
+    pad = lambda lin: list(lin.mats[1:]) + [zero] * (2 - lin.n)
+    # (F_a G0)(G0^-1 G_b) = F_a G_b: the normalized coefficients cancel iff these do
+    for a in pad(f):
+        for b_ in pad(g):
+            assert not any(map(any, _mul_rows(a.nums, b_.nums))), \
+                "degree-2 coefficients must cancel"
 
+    gx, gy = (g0inv * m for m in pad(g))
     g_cols = gx.hstack(gy)
-    cols = [g_cols.col(j) for j in g_cols.pivot_cols()]
+    all_cols = list(zip(*g_cols.nums))
+    cols = [all_cols[j] for j in independent(all_cols)]
     assert cols, "a non-unit right factor has nonzero linear part"
     assert len(cols) < 4, "a non-unit left factor forces a proper subspace"
-    w_basis = Matrix.from_cols(QQ, cols)
     for m in (mu_matrix(alpha), mv_matrix(beta)):
-        prod = m * w_basis
-        joint = w_basis.hstack(prod)
-        assert joint.rank() == len(cols), "W must be invariant under M_u and M_v"
+        assert len(independent(cols + [_apply(m.nums, c) for c in cols])) == len(cols), \
+            "W must be invariant under M_u and M_v"
 
-    e1 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    candidates = sorted(cols, key=lambda c: _normalize_line(c) == e1)
+    # a column that is a multiple of e1 = 1 comes last
+    candidates = sorted(cols, key=lambda c: not any(c[1:]))
     for w in candidates:
-        z2 = Quaternion(alpha, beta, w)
+        z2 = Quaternion(alpha, beta, [Fraction(x, g_cols.den) for x in w])
         pair = _left_orbit_dependency(z2)
         if pair is not None:
             return pair
     # Fall back to the annihilator of W: the coordinate space of a left
     # ideal, where the orbit dependency always exists.
-    perp = Matrix(QQ, [tuple(c) for c in cols]).nullspace()
+    perp = Matrix.from_nums(QQ, cols).nullspace()
     for s in perp:
         z2 = Quaternion(alpha, beta, s)
         pair = _left_orbit_dependency(z2)
@@ -663,9 +746,8 @@ def factorization_to_zdiv(alpha, beta, f, g):
 
 def _left_orbit_dependency(z2):
     """Solve gamma0*w + gamma1*u*w + gamma2*v*w + gamma3*uv*w = 0."""
-    basis = Quaternion.basis(z2.alpha, z2.beta)
-    orbit = [hmul(b, z2).coords for b in basis]
-    kernel = Matrix.from_cols(QQ, orbit).nullspace()
+    _den, orbit = left_orbit(z2)
+    kernel = Matrix.from_nums(QQ, list(zip(*orbit))).nullspace()
     if not kernel:
         return None
     gamma = kernel[0]

@@ -12,36 +12,40 @@ and `col(j)` hand out the nums themselves; over Q they build the
 
 The product skips zero entries, so its cost follows the nonzeros: the
 block matrices of black-box recovery are mostly zero.  One
-fraction-free elimination core (`Matrix._reduce`, Bareiss-style
-Gauss-Jordan on the integer rows) answers `rank`, `det`, `nullspace`,
-`inverse` and `pivot_cols`, the columns independent of those before
-them.  The characteristic polynomial comes from Berkowitz's
+fraction-free elimination core (`_reduce`, Bareiss-style Gauss-Jordan
+on integer rows) answers `rank`, `det`, `nullspace`, `inverse` and
+`pivot_cols`, the columns independent of those before them, and, for
+callers that work on int vectors without building a `Matrix`,
+`independent` and `int_kernel`.  The characteristic polynomial comes from Berkowitz's
 division-free recursion on `nums` (`int_charpoly`); coefficient k is
 then divided by den^(n-k) (dimensions are capped at 8, per the callers'
 needs).  `integer_roots` finds the integer roots of a monic integer
 polynomial by Hensel lifting, in time polynomial in the bit size, so the
 rational eigenvalues of M = N / den are r / den for the integer roots r
 of N's charpoly; `rational_roots` maps any rational polynomial to that
-case.
+case, and `rootless_prime` certifies that a polynomial has no rational
+root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from operator import mul
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
+# `integer_roots` tries f itself at this many primes before its square-free part
+SIMPLE_ROOT_PRIMES = 5
+WITNESS_PRIME_BOUND = 1000
 
 
 def _check_shape(nums):
     """ValueError unless the rows form a nonempty rectangle."""
     if not nums or not nums[0]:
         raise ValueError("matrix must have at least one row and column")
-    width = len(nums[0])
-    if any(len(r) != width for r in nums):
+    if len(set(map(len, nums))) != 1:
         raise ValueError("ragged rows")
 
 
@@ -254,60 +258,17 @@ class Matrix:
 
     # -- elimination-based queries ------------------------------------
 
-    def _reduce(self, rows=None):
-        """The one elimination core: fraction-free Gauss-Jordan reduction
-        of int rows, `self.nums` unless given.
-
-        Returns (rows, pivot columns, d, sign).  Bareiss (1968)
-        elimination, applied above as well as below each pivot, so every
-        division by the previous pivot is exact: `//` over Q, times its
-        inverse mod p over F_p.
-
-        On return each pivot row holds d, the last pivot, in its own
-        pivot column and zero in every other pivot column; rows past the
-        rank are zero.  For a nonsingular square matrix of int rows N,
-        det N = sign * d (mod p over F_p).
-        """
-        p = self.field.characteristic
-        rows = [list(r) for r in (self.nums if rows is None else rows)]
-        pivots = []
-        sign = prev = 1
-        top = 0
-        for col in range(len(rows[0])):
-            if top == len(rows):
-                break
-            pivot_row = next((i for i in range(top, len(rows)) if rows[i][col]), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != top:
-                rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
-                sign = -sign
-            prow = rows[top]
-            pivot = prow[col]
-            inv = pow(prev, -1, p) if p else None
-            for i, r in enumerate(rows):
-                if i != top:
-                    head = r[col]
-                    if p:
-                        rows[i] = [(pivot * a - head * b) * inv % p for a, b in zip(r, prow)]
-                    else:
-                        rows[i] = [(pivot * a - head * b) // prev for a, b in zip(r, prow)]
-            pivots.append(col)
-            prev = pivot
-            top += 1
-        return rows, pivots, prev, sign
-
     def rank(self):
-        return len(self._reduce()[1])
+        return len(_reduce(self.nums, self.field.characteristic)[1])
 
     def pivot_cols(self):
         """Indices of the columns independent of the columns before them."""
-        return self._reduce()[1]
+        return _reduce(self.nums, self.field.characteristic)[1]
 
     def det(self):
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        _rows, pivots, d, sign = self._reduce()
+        _rows, pivots, d, sign = _reduce(self.nums, self.field.characteristic)
         if len(pivots) < self.nrows:
             return self.field.zero
         return _element(self.field.characteristic, sign * d, self.den ** self.nrows)
@@ -317,9 +278,9 @@ class Matrix:
 
         One vector per free column: that variable 1, the other free
         variables 0, read from the reduced form."""
-        rows, pivots, d, _sign = self._reduce()
         field = self.field
         p = field.characteristic
+        rows, pivots, d, _sign = _reduce(self.nums, p)
         # x / d, over F_p as x times the inverse of d
         num, den = (pow(d, -1, p), 1) if p else (1, d)
         zero, one = field.zero, field.one
@@ -340,12 +301,12 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        rows, pivots, d, _sign = self._reduce(
-            [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.nums)])
+        p = self.field.characteristic
+        rows, pivots, d, _sign = _reduce(
+            [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.nums)], p)
         if pivots[n - 1] != n - 1:
             return None
         # over F_p times the inverse of d; over Q den / d, sign in the nums
-        p = self.field.characteristic
         f, den = (pow(d, -1, p), 1) if p else (self.den if d > 0 else -self.den, abs(d))
         return _normal(self.field, [[x * f for x in r[n:]] for r in rows], den)
 
@@ -392,6 +353,90 @@ class Matrix:
         return vec[::-1]
 
 
+# -- the elimination core, on int rows ---------------------------------
+
+def _reduce(rows, p=0):
+    """The one elimination core: fraction-free Gauss-Jordan reduction of
+    int rows, over Q (p = 0) or F_p.
+
+    Returns (rows, pivot columns, d, sign).  Bareiss (1968)
+    elimination, applied above as well as below each pivot, so every
+    division by the previous pivot is exact: `//` over Q, times its
+    inverse mod p over F_p.
+
+    On return each pivot row holds d, the last pivot, in its own
+    pivot column and zero in every other pivot column; rows past the
+    rank are zero.  For a nonsingular square matrix of int rows N,
+    det N = sign * d (mod p over F_p).
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    sign = prev = 1
+    top = 0
+    for col in range(len(rows[0])):
+        if top == nrows:
+            break
+        for pivot_row in range(top, nrows):
+            if rows[pivot_row][col]:
+                break
+        else:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            sign = -sign
+        prow = rows[top]
+        pivot = prow[col]
+        inv = pow(prev, -1, p) if p else None
+        for i, r in enumerate(rows):
+            if i == top:
+                continue
+            head = r[col]
+            if p:
+                rows[i] = [(pivot * a - head * b) * inv % p for a, b in zip(r, prow)]
+            elif head:
+                rows[i] = [(pivot * a - head * b) // prev for a, b in zip(r, prow)]
+            elif pivot != prev:  # a zero head only rescales the row
+                rows[i] = [pivot * a // prev for a in r]
+        pivots.append(col)
+        prev = pivot
+        top += 1
+    return rows, pivots, prev, sign
+
+
+def over_one_denominator(values):
+    """(den, nums): rationals as ints over den, the lcm of their
+    denominators, so values[i] = nums[i] / den."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def independent(vectors):
+    """Indices of the rational vectors, given as int vectors, that are
+    independent of the ones before them: the pivot columns of the matrix
+    with these columns.  Scaling a vector changes no index."""
+    return _reduce(list(zip(*vectors)))[1]
+
+
+def int_kernel(rows):
+    """A basis of the right nullspace of the int rows over Q, as int
+    vectors; [] when the kernel is trivial.  Each vector is the one
+    `Matrix.nullspace` gives for the same free column, times the last
+    pivot d: d at the free column, 0 at the other free columns."""
+    reduced, pivots, d, _sign = _reduce(rows)
+    ncols = len(rows[0])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = d
+        for k, pc in enumerate(pivots):
+            v[pc] = -reduced[k][fc]
+        basis.append(v)
+    return basis
+
+
 # -- univariate polynomial helpers (coefficient lists, ascending) -----
 
 def upoly_eval(p, x):
@@ -428,23 +473,27 @@ def integer_roots(coeffs):
     coefficients ascending, as a sorted list of (root, multiplicity).
 
     Polynomial in the bit size (von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 15): the roots of the square-free part h are
-    found modulo the first prime q at which all of them are simple, and
-    each is Hensel-lifted until the modulus passes 2 (1 + max |h_i|),
-    twice the bound on an integer root of monic h.  A lifted residue is
-    a root only if exact substitution gives 0; synthetic division by
-    t - r then counts its multiplicity."""
+    Computer Algebra, ch. 15): the roots of a square-free h are found
+    modulo a prime q at which all of them are simple, and each is
+    Hensel-lifted until the modulus passes 2 (1 + max |h_i|), twice the
+    bound on an integer root of monic h.  h is f itself when one of the
+    first few primes has that property: then every integer root of f is
+    simple modulo q, so simple, and the lift of its residue.  Only
+    otherwise (f has a repeated root) is h the square-free part f /
+    gcd(f, f').  A lifted residue is a root only if exact substitution
+    gives 0; synthetic division by t - r then counts its multiplicity."""
     f = list(coeffs)
     if f[-1] != 1:
         raise ValueError("integer_roots needs a monic polynomial")
     if len(f) == 1:
         return []
-    h = _squarefree(f)
+    h = f
+    found = _simple_residues(h, islice(_primes(), SIMPLE_ROOT_PRIMES))
+    if found is None:
+        h = _squarefree(f)
+        found = _simple_residues(h, _primes())
+    q, residues = found
     dh = _derivative(h)
-    for q in _primes():
-        residues = [r for r in range(q) if upoly_eval(h, r) % q == 0]
-        if all(upoly_eval(dh, r) % q for r in residues):
-            break
     bound = 2 * (1 + max(map(abs, h)))
     out = []
     for r in residues:
@@ -465,13 +514,50 @@ def integer_roots(coeffs):
     return sorted(out)
 
 
+def _simple_residues(h, primes):
+    """(q, roots of h mod q) for the first q of `primes` at which every
+    root of h mod q is simple, or None when no q of them qualifies."""
+    dh = _derivative(h)
+    for q in primes:
+        residues = _roots_mod(h, q)
+        if all(upoly_eval(dh, r) % q for r in residues):
+            return q, residues
+    return None
+
+
+def _roots_mod(h, q):
+    """The roots of the integer polynomial h modulo q, ascending: Horner's
+    rule run at every residue at once."""
+    values = [h[-1] % q] * q
+    for c in reversed(h[:-1]):
+        values = [(v * r + c) % q for r, v in enumerate(values)]
+    return [r for r, v in enumerate(values) if not v]
+
+
+def rootless_prime(coeffs, bound=WITNESS_PRIME_BOUND):
+    """The least prime q < bound modulo which the integer polynomial has
+    no root, or None.  Such a q proves that a monic one has no rational
+    root: its rational roots are integers, and an integer root r would
+    be the root r mod q."""
+    for q in _primes():
+        if q >= bound:
+            return None
+        if not _roots_mod(coeffs, q):
+            return q
+
+
 def _primes():
     """2, 3, 5, 7, ... without end."""
-    n = 2
+    yield from _SMALL_PRIMES
+    n = _SMALL_PRIMES[-1] + 2
     while True:
-        if all(n % d for d in range(2, isqrt(n) + 1)):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             yield n
-        n += 1
+        n += 2
+
+
+_SMALL_PRIMES = tuple(n for n in range(2, WITNESS_PRIME_BOUND)
+                      if all(n % d for d in range(2, isqrt(n) + 1)))
 
 
 def _derivative(p):

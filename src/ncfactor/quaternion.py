@@ -10,18 +10,19 @@ rep(z1 * z2) = rep(z2) * rep(z1).
 Coordinates and parameters are `Fraction`s.  `hmul` works on integers:
 it brings each factor's coordinates over one denominator, multiplies
 the numerators by the integer form of the defining relations, and
-builds each coordinate of the product once.
+builds each coordinate of the product once.  `left_orbit` gives the
+products b*z with the basis elements b as int rows, for the
+linear-matrix gadget's left ideals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from ncfactor.errors import SoundnessError
 from ncfactor.fields import QQ
-from ncfactor.matrix import Matrix
+from ncfactor.matrix import Matrix, over_one_denominator
 
 SEARCH_MAX_BOUND = 5
 
@@ -96,8 +97,8 @@ def hmul(z1, z2):
     z1._check(z2)
     na, da = z1.alpha.numerator, z1.alpha.denominator
     nb, db = z1.beta.numerator, z1.beta.denominator
-    e1, (x0, x1, x2, x3) = _over_one_denominator(z1.coords)
-    e2, (y0, y1, y2, y3) = _over_one_denominator(z2.coords)
+    e1, (x0, x1, x2, x3) = over_one_denominator(z1.coords)
+    e2, (y0, y1, y2, y3) = over_one_denominator(z2.coords)
     ab, a, b = da * db, na * db, nb * da
     den = ab * e1 * e2
     z = object.__new__(Quaternion)
@@ -111,10 +112,24 @@ def hmul(z1, z2):
     return z
 
 
-def _over_one_denominator(coords):
-    """(e, ints) with coords = ints / e, e the lcm of the denominators."""
-    e = lcm(*(c.denominator for c in coords))
-    return e, [c.numerator * (e // c.denominator) for c in coords]
+def left_orbit(z):
+    """(den, rows): the coordinates of b*z for b = 1, u, v, uv, as int rows
+    over one denominator.  With z = x/e, alpha = na/da and beta = nb/db,
+
+        u*z = (alpha x1, x0, alpha x3, x2),  v*z = (beta x2, -beta x3, x0, -x1),
+        uv*z = (-alpha beta x3, beta x2, -alpha x1, x0),
+
+    all over da*db*e."""
+    na, da = z.alpha.numerator, z.alpha.denominator
+    nb, db = z.beta.numerator, z.beta.denominator
+    e, (x0, x1, x2, x3) = over_one_denominator(z.coords)
+    ab = da * db
+    return ab * e, [
+        [ab * x0, ab * x1, ab * x2, ab * x3],
+        [na * db * x1, ab * x0, na * db * x3, ab * x2],
+        [nb * da * x2, -nb * da * x3, ab * x0, -ab * x1],
+        [-na * nb * x3, nb * da * x2, -na * db * x1, ab * x0],
+    ]
 
 
 def regular_representation(z):
@@ -124,23 +139,17 @@ def regular_representation(z):
 
 
 def mu_matrix(alpha):
-    a = Fraction(alpha)
-    return Matrix(QQ, [
-        [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-        [a, Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(0), a, Fraction(0)],
-    ])
+    """M_u: the entries 1 and alpha = na/da, over da."""
+    na, da = Fraction(alpha).as_integer_ratio()
+    return Matrix.from_nums(QQ, [[0, da, 0, 0], [na, 0, 0, 0], [0, 0, 0, da], [0, 0, na, 0]],
+                            da)
 
 
 def mv_matrix(beta):
-    b = Fraction(beta)
-    return Matrix(QQ, [
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(-1)],
-        [b, Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), -b, Fraction(0), Fraction(0)],
-    ])
+    """M_v: the entries 1, -1, beta = nb/db and -beta, over db."""
+    nb, db = Fraction(beta).as_integer_ratio()
+    return Matrix.from_nums(QQ, [[0, 0, db, 0], [0, 0, 0, -db], [nb, 0, 0, 0], [0, -nb, 0, 0]],
+                            db)
 
 
 def is_zero_divisor(z):

@@ -9,12 +9,14 @@ reports anything it raises on malformed text as a FormatError, so a bad
 file never surfaces as a traceback or as a domain error.
 
 Linear matrices and certificates share one matrix-block layout: d lines
-of d space-separated rationals.
+of d space-separated rationals, read into and written from a `Matrix`'s
+int rows over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ncfactor.errors import FormatError
 from ncfactor.fields import QQ
@@ -26,7 +28,7 @@ MALFORMED = (IndexError, KeyError, ValueError, ZeroDivisionError)
 
 def read(text, *readers):
     """Parse text with the reader whose KIND matches its header."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     kind = lines[0].split(None, 1)[0] if lines else ""
     for reader in readers:
         if reader.KIND == kind:
@@ -44,25 +46,52 @@ def read(text, *readers):
                           % (kind, type(exc).__name__, exc)) from exc
 
 
-def _rational(token):
-    """The rational a token spells, as `Fraction(token)` reads it; a plain
-    integer, the common entry, stays an int and skips Fraction's parser."""
-    digits = token[1:] if token[:1] in "+-" else token
-    return int(token) if digits.isdecimal() else Fraction(token)
+def _ratio(token):
+    """(num, den), den > 0, with num / den the rational that
+    `Fraction(token)` reads.  Integers and `a/b` with decimal digits, the
+    common entries, are read with `int`; any other token goes through
+    `Fraction`, so the accepted syntax is Fraction's."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in "+-" else num
+    if digits.isdecimal() and (not slash or den.isdecimal()):
+        if not slash:
+            return int(num), 1
+        den = int(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator in %r" % token)
+        return int(num), den
+    value = Fraction(token)
+    return value.numerator, value.denominator
 
 
 def read_matrix(lines, pos, d):
-    """The d x d rational matrix written in lines[pos:pos + d]."""
-    rows = [[_rational(x) for x in lines[pos + i].split()] for i in range(d)]
-    if any(len(row) != d for row in rows):
+    """The d x d rational matrix written in lines[pos:pos + d], read into
+    int rows over one denominator.  A block without "/" is tried with
+    `int` first, which accepts a subset of what Fraction does, with the
+    same value."""
+    text = [lines[pos + i] for i in range(d)]
+    block = [ln.split() for ln in text]
+    if list(map(len, block)) != [d] * d:
         raise FormatError("expected %d entries per matrix row" % d)
-    return Matrix(QQ, rows)
+    if "/" not in "".join(text):
+        try:
+            return Matrix.from_nums(QQ, [list(map(int, row)) for row in block])
+        except ValueError:
+            pass
+    pairs = [[_ratio(t) for t in row] for row in block]
+    den = lcm(*(b for row in pairs for _a, b in row))
+    return Matrix.from_nums(QQ, [[a * (den // b) for a, b in row] for row in pairs], den)
 
 
 def matrix_lines(m):
     """The rows of m in the matrix-block layout, written from its int rows
-    over its denominator."""
+    over its denominator: each entry as `str` of its Fraction prints it."""
     den = m.den
     if den == 1:
         return [" ".join(map(str, r)) for r in m.nums]
-    return [" ".join(str(Fraction(x, den)) for x in r) for r in m.nums]
+    return [" ".join(_entry(x, den) for x in r) for r in m.nums]
+
+
+def _entry(x, den):
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)

@@ -37,6 +37,17 @@ def test_corrupted_certificate_raises_soundness_error(monkeypatch):
         factor_3x3(SPLIT)
 
 
+def test_missed_rational_root_raises_soundness_error(monkeypatch):
+    """A cubic charpoly found without rational roots must have no root
+    modulo some prime.  SPLIT's coefficient has the roots 1, 2 and 3, so
+    a root finder that misses them ends in SoundnessError, not in the
+    verdict charpoly-irreducible."""
+    assert factor_3x3(SPLIT).nontrivial_count() >= 2
+    monkeypatch.setattr(linmat, "integer_roots", lambda coeffs: [])
+    with pytest.raises(SoundnessError):
+        factor_3x3(SPLIT)
+
+
 def test_cli_reports_soundness_error_with_exit_2(monkeypatch, tmp_path, capsys):
     path = tmp_path / "split.lm"
     path.write_text(SPLIT.to_text())
@@ -141,6 +152,7 @@ def test_answer_checks_survive_python_O():
          "tests/test_linmat.py::test_linmat_outputs_are_pinned",
          "tests/test_linmat.py::test_eigen_search_outputs_are_pinned",
          "tests/test_soundness.py::test_corrupted_certificate_raises_soundness_error",
+         "tests/test_soundness.py::test_missed_rational_root_raises_soundness_error",
          "tests/test_soundness.py::test_cli_reports_soundness_error_with_exit_2",
          "tests/test_soundness.py::test_oracle_left_factor_check_raises_soundness_error",
          "tests/test_soundness.py::test_oracle_multiply_back_raises_soundness_error",
@@ -151,4 +163,4 @@ def test_answer_checks_survive_python_O():
          "tests/test_matrix.py::test_integer_roots_keeps_only_exact_roots"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "14 passed" in proc.stdout
+    assert "15 passed" in proc.stdout
