@@ -234,8 +234,8 @@ def _cleared(mats):
     """(s, [s*m for m in mats]) on integers, s > 0 the lcm of every
     denominator in the group.  The constant s*m0 is the int c when it is
     c*I (a factor's constant term mostly is I); every other s*m is given
-    as its nonzero rows (i, row i's nonzero (column, entry) pairs), and
-    as None when it is zero."""
+    as (the set of its nonzero rows i, [(i, row i's nonzero (column,
+    entry) pairs)]), and as None when it is zero."""
     s = lcm(*(m.den for m in mats))
     out = []
     for k, m in enumerate(mats):
@@ -244,7 +244,7 @@ def _cleared(mats):
         if c is None:
             rows = [(i, [(j, x * f) for j, x in enumerate(r) if x])
                     for i, r in enumerate(m.nums) if any(r)]
-            out.append(rows or None)
+            out.append((frozenset(i for i, _r in rows), rows) if rows else None)
         else:
             out.append(c * f or None)
     return s, out
@@ -253,10 +253,13 @@ def _cleared(mats):
 def _times(coeffs, lin):
     """Coefficient matrices {word: C} of (sum_w C_w w) * lin on integer
     rows: each word is extended by lin's A0 (no letter) or A_i (letter
-    x_i), given as by `_cleared`; zero products are dropped."""
+    x_i), given as by `_cleared`.  A product is skipped when the nonzero
+    columns of C miss the nonzero rows of A_i (block-triangular factors
+    make most products zero), and zero sums are dropped."""
     out = {}
     for word, c in coeffs.items():
         d = len(c)
+        support = {j for j, col in enumerate(zip(*c)) if any(col)}
         for k, a in enumerate(lin):
             if a is None:
                 continue
@@ -267,29 +270,41 @@ def _times(coeffs, lin):
                             [[y + a * x for y, x in zip(acc_row, row)]
                              for acc_row, row in zip(acc, c)])
                 continue
+            a_rows, a = a
+            if support.isdisjoint(a_rows):
+                continue
             if acc is None:
                 acc = out[key] = [[0] * d for _ in range(d)]
             for row, acc_row in zip(c, acc):
-                if any(row):
-                    for i, a_row in a:
-                        x = row[i]
-                        if x:
-                            for j, y in a_row:
-                                acc_row[j] += x * y
+                for i, a_row in a:
+                    x = row[i]
+                    if x:
+                        for j, y in a_row:
+                            acc_row[j] += x * y
     return {w: m for w, m in out.items() if any(map(any, m))}
+
+
+def _invertible(m):
+    return m == _identity(m.nrows) or m.rank() == m.nrows
+
+
+def _words(mats):
+    """(s, {word: C}): a linear matrix's nonzero coefficients as int rows
+    over s > 0, the lcm of their denominators; word () holds A0 and
+    (i,) holds A_(i+1)."""
+    s = lcm(*(m.den for m in mats))
+    return s, {(k - 1,) if k else (): [[x * (s // m.den) for x in r] for r in m.nums]
+               for k, m in enumerate(mats) if not m.is_zero()}
 
 
 def _product(groups, d):
     """(s, {word: C}): s > 0 and the integer coefficient matrices of s
-    times the product of the groups, each a linear matrix's mats ([m]
-    for a constant m), every group scaled by the lcm of its own
-    denominators (`_cleared`); no group gives the identity."""
+    times the product of the groups, each a linear matrix's mats, every
+    group scaled by the lcm of its own denominators (`_cleared`); no
+    group gives the identity."""
     if not groups:
         return 1, {(): _unit_vectors(d)}
-    first = groups[0]
-    scale = lcm(*(m.den for m in first))
-    coeffs = {(k - 1,) if k else (): [[x * (scale // m.den) for x in r] for r in m.nums]
-              for k, m in enumerate(first) if not m.is_zero()}
+    scale, coeffs = _words(groups[0])
     for mats in groups[1:]:
         s, rows = _cleared(mats)
         coeffs = _times(coeffs, rows)
@@ -302,16 +317,20 @@ def verify_cert(cert, L):
     compared word by word as coefficient matrices (so quadratic terms
     must cancel identically).
 
-    Both sides are multiplied out on integers, as s_lhs*P*L*Q and
-    s_rhs*(product) for positive scales (`_product`), so they agree
-    exactly when s_rhs*lhs_w == s_lhs*rhs_w for every word w."""
-    if cert.p.nrows != L.d or cert.q.nrows != L.d:
+    Both sides are multiplied out on integers, as s_lhs*P*L*Q (P*A_w*Q
+    for each word w of L) and s_rhs*(product) (`_product`) for positive
+    scales, so they agree exactly when s_rhs*lhs_w == s_lhs*rhs_w for
+    every word w."""
+    p, q = cert.p, cert.q
+    if p.nrows != L.d or q.nrows != L.d:
         raise ValueError("certificate dimension mismatch")
-    if cert.p.rank() < L.d or cert.q.rank() < L.d:
+    if not (_invertible(p) and _invertible(q)):
         return False
     if any(factor.d != L.d for factor in cert.factors):
         raise ValueError("factor dimension mismatch")
-    s_lhs, lhs = _product([[cert.p], L.mats, [cert.q]], L.d)
+    s_l, words = _words(L.mats)
+    s_lhs = p.den * s_l * q.den
+    lhs = {w: _mul_rows(_mul_rows(p.nums, c), q.nums) for w, c in words.items()}
     s_rhs, rhs = _product([factor.mats for factor in cert.factors], L.d)
     return lhs.keys() == rhs.keys() and all(
         s_rhs * x == s_lhs * y

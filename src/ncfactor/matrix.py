@@ -556,8 +556,8 @@ def _primes():
         n += 2
 
 
-_SMALL_PRIMES = tuple(n for n in range(2, WITNESS_PRIME_BOUND)
-                      if all(n % d for d in range(2, isqrt(n) + 1)))
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                 73, 79, 83, 89, 97)
 
 
 def _derivative(p):

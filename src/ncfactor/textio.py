@@ -46,41 +46,45 @@ def read(text, *readers):
                           % (kind, type(exc).__name__, exc)) from exc
 
 
-def _ratio(token):
-    """(num, den), den > 0, with num / den the rational that
-    `Fraction(token)` reads.  Integers and `a/b` with decimal digits, the
-    common entries, are read with `int`; any other token goes through
-    `Fraction`, so the accepted syntax is Fraction's."""
-    num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] in "+-" else num
-    if digits.isdecimal() and (not slash or den.isdecimal()):
-        if not slash:
-            return int(num), 1
-        den = int(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in %r" % token)
-        return int(num), den
-    value = Fraction(token)
-    return value.numerator, value.denominator
+def _ratios(tokens):
+    """(nums, dens), dens > 0, with nums[i] / dens[i] the rational that
+    `Fraction(tokens[i])` reads.  Integers and `a/b` with decimal
+    digits, the common entries, are read with `int`, which accepts them
+    as Fraction does; when a token is of any other form (or a
+    denominator is 0), every token goes through `Fraction`, so the
+    accepted syntax and the errors are Fraction's."""
+    parts = [t.partition("/") for t in tokens]
+    if all(b.isdecimal() for _a, slash, b in parts if slash):
+        try:
+            nums = [int(a) for a, _s, _b in parts]
+        except ValueError:
+            pass
+        else:
+            dens = [int(b) if slash else 1 for _a, slash, b in parts]
+            if 0 not in dens:
+                return nums, dens
+    values = [Fraction(t) for t in tokens]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 def read_matrix(lines, pos, d):
     """The d x d rational matrix written in lines[pos:pos + d], read into
     int rows over one denominator.  A block without "/" is tried with
-    `int` first, which accepts a subset of what Fraction does, with the
-    same value."""
+    `int` alone first."""
     text = [lines[pos + i] for i in range(d)]
-    block = [ln.split() for ln in text]
-    if list(map(len, block)) != [d] * d:
+    rows = [ln.split() for ln in text]
+    if list(map(len, rows)) != [d] * d:
         raise FormatError("expected %d entries per matrix row" % d)
     if "/" not in "".join(text):
         try:
-            return Matrix.from_nums(QQ, [list(map(int, row)) for row in block])
+            return Matrix.from_nums(QQ, [list(map(int, row)) for row in rows])
         except ValueError:
             pass
-    pairs = [[_ratio(t) for t in row] for row in block]
-    den = lcm(*(b for row in pairs for _a, b in row))
-    return Matrix.from_nums(QQ, [[a * (den // b) for a, b in row] for row in pairs], den)
+    nums, dens = _ratios([t for row in rows for t in row])
+    den = lcm(*dens)
+    if den != 1:
+        nums = [a * (den // b) for a, b in zip(nums, dens)]
+    return Matrix.from_nums(QQ, [nums[i:i + d] for i in range(0, d * d, d)], den)
 
 
 def matrix_lines(m):

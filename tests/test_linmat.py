@@ -829,15 +829,15 @@ def test_is_unit_matches_product_enumeration():
 def test_matrix_entries_read_as_fraction_reads_them():
     """The integer fast path of the matrix reader accepts and refuses
     exactly what Fraction(token) does."""
-    from ncfactor.textio import _ratio
+    from ncfactor.textio import _ratios
     for token in ("3", "-3", "+3", "007", "-0", "1/2", "-4/6", "1.5", "2e3", "٣"):
-        num, den = _ratio(token)
+        (num,), (den,) = _ratios([token])
         assert den > 0 and Fraction(num, den) == Fraction(token)
     for token in ("", "+", "-+3", "3/", "1/0x", "abc", "3_0/", "1/0"):
         with pytest.raises((ValueError, ZeroDivisionError)):
             Fraction(token)
         with pytest.raises((ValueError, ZeroDivisionError)):
-            _ratio(token)
+            _ratios([token])
 
 
 # Tokens the matrix-block reader accepts, each as `Fraction(token)` reads it.
