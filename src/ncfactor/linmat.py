@@ -519,9 +519,21 @@ def _all_scalar(mats):
     return [Fraction(m.nums[0][0], m.den) for m in mats]
 
 
+def _sandwich(a, rows, den, b):
+    """(a * (rows / den) * b) as (int rows, den) for matrices a and b; an
+    identity factor is skipped."""
+    if a != _identity(a.nrows):
+        rows, den = _mul_rows(a.nums, rows), a.den * den
+    if b != _identity(b.nrows):
+        rows, den = _mul_rows(rows, b.nums), den * b.den
+    return rows, den
+
+
 def _diag_times(a, b, m):
     """diag(a, b) * m, assembled once from int rows: a times the top rows
-    of m over b times the rest."""
+    of m over b times the rest; m itself when a and b are identities."""
+    if a == _identity(a.nrows) and b == _identity(b.nrows):
+        return m
     den = lcm(a.den, b.den)
     k = a.nrows
     rows = [[x * (den // blk.den) for x in r]
@@ -564,8 +576,7 @@ def _split(L, p, pinv, k, split_top, split_bottom):
     pb, qb, bottom, bottom_flags = split_bottom(LinearMatrix([_identity(d - k)] + bottoms))
     factors = [_lift_factor(f, d, 0) for f in top]
     flags = list(top_flags)
-    ds = [(_mul_rows(_mul_rows(pb.nums, low), qt.nums), pb.den * den * qt.den)
-          for low, den in lows]
+    ds = [_sandwich(pb, low, den, qt) for low, den in lows]
     if any(any(map(any, rows)) for rows, _den in ds):
         factors.append(_unip_factor(ds, d, k))
         flags.append(True)

@@ -37,7 +37,7 @@ from operator import mul
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
 # `integer_roots` tries f itself at this many primes before its square-free part
-SIMPLE_ROOT_PRIMES = 5
+SIMPLE_ROOT_PRIMES = 4
 WITNESS_PRIME_BOUND = 1000
 
 
