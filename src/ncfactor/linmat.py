@@ -30,6 +30,13 @@ coefficient in turn, so every line carries its eigenvalue tuple.
 matrix once per call: the charpoly test, the right- and left-line
 searches and the 2x2 searches share one dict of them, which also serves
 a matrix's transpose.
+
+Between the `Matrix` objects of the API (a linear matrix's coefficients,
+a certificate's P, Q and factors) the work runs on their int rows: the
+eigenline recursion, basis completion, unit test, conjugation and
+verification multiply and eliminate int vectors, and each certificate
+matrix is built once.  Fractions appear only where the API returns
+them: the eigenlines with their eigenvalues and quaternion coordinates.
 """
 
 from __future__ import annotations

@@ -477,10 +477,11 @@ def integer_roots(coeffs):
     modulo a prime q at which all of them are simple, and each is
     Hensel-lifted until the modulus passes 2 (1 + max |h_i|), twice the
     bound on an integer root of monic h.  h is f itself when one of the
-    first few primes has that property: then every integer root of f is
-    simple modulo q, so simple, and the lift of its residue.  Only
-    otherwise (f has a repeated root) is h the square-free part f /
-    gcd(f, f').  A lifted residue is a root only if exact substitution
+    first few primes has that property: an integer root of f then
+    reduces to a simple root modulo q, so it is simple and it is the
+    lift of its residue.  Only otherwise (f has a repeated root, or all
+    its roots collide modulo those primes) is h the square-free part
+    f / gcd(f, f').  A lifted residue is a root only if exact substitution
     gives 0; synthetic division by t - r then counts its multiplicity."""
     f = list(coeffs)
     if f[-1] != 1:

@@ -77,9 +77,11 @@ def read_matrix(lines, pos, d):
         raise FormatError("expected %d entries per matrix row" % d)
     if "/" not in "".join(text):
         try:
-            return Matrix.from_nums(QQ, [list(map(int, row)) for row in rows])
+            ints = [list(map(int, row)) for row in rows]
         except ValueError:
             pass
+        else:
+            return Matrix.from_nums(QQ, ints)
     nums, dens = _ratios([t for row in rows for t in row])
     den = lcm(*dens)
     if den != 1:
