@@ -264,15 +264,8 @@ class Circuit:
         gates = []
         output = None
         for ln in lines:
-            parts = ln.split()
-            # "gK = ADD gI gJ", the common line, read inline; any other line,
-            # and the errors, as `_gate_ref` words them, take the general path
-            if (len(parts) == 5 and parts[1] == "=" and parts[2] in _BINARY
-                    and parts[0] == "g%d" % len(gates) and parts[3][:1] == parts[4][:1] == "g"):
-                gates.append((_BINARY[parts[2]], int(parts[3][1:]), int(parts[4][1:])))
-                continue
             if ln.startswith("output "):
-                output = _gate_ref(parts[1])
+                output = _gate_ref(ln.split()[1])
                 continue
             target, rhs = ln.split(" = ", 1)
             if _gate_ref(target) != len(gates):
@@ -283,16 +276,13 @@ class Circuit:
                 gates.append(("var", alphabet.index(parts[1])))
             elif op == "CONST":
                 gates.append(("const", field.parse(parts[1])))
-            elif op in _BINARY:
-                gates.append((_BINARY[op], _gate_ref(parts[1]), _gate_ref(parts[2])))
+            elif op in ("ADD", "MUL"):
+                gates.append((op.lower(), _gate_ref(parts[1]), _gate_ref(parts[2])))
             else:
                 raise FormatError("unknown gate op %r" % op)
         if output is None:
             raise FormatError("missing output line")
         return cls(alphabet, field, gates, output)
-
-
-_BINARY = {"ADD": "add", "MUL": "mul"}
 
 
 def _gate_ref(tok):

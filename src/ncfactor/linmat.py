@@ -48,8 +48,8 @@ from operator import mul
 from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
-from ncfactor.matrix import (Matrix, independent, int_kernel, integer_roots,
-                             over_one_denominator, rootless_prime)
+from ncfactor.matrix import (Matrix, cubic_integer_root, independent, int_kernel,
+                             integer_roots, over_one_denominator)
 from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, left_orbit, mu_matrix,
                                  mv_matrix)
 
@@ -424,17 +424,17 @@ def _eigenvalues(m, roots):
     r / den.  Looked up in the dict `roots` or computed and stored there
     for m and its transpose, which has the same charpoly.
 
-    A cubic charpoly without an integer root is irreducible over Q.  A
-    prime modulo which it has no root proves that it has no rational
-    root; a root at every prime below the bound is what a missed root
-    looks like, and raises SoundnessError (also under python -O)."""
+    A cubic charpoly without an integer root is irreducible over Q.
+    `cubic_integer_root` checks that verdict by bisection, independently
+    of the Hensel lifting; a root it finds is one `integer_roots` missed,
+    and raises SoundnessError (also under python -O)."""
     found = roots.get(m)
     if found is None:
         charpoly = m.int_charpoly()
         found = roots[m] = roots[m.transpose()] = integer_roots(charpoly)
-        if not found and len(charpoly) == 4 and rootless_prime(charpoly) is None:
-            raise SoundnessError("a cubic charpoly without integer roots has a root "
-                                 "modulo every prime below the bound")
+        if not found and len(charpoly) == 4 and cubic_integer_root(charpoly) is not None:
+            raise SoundnessError("the cubic charpoly has an integer root "
+                                 "that the root finder missed")
     return found
 
 

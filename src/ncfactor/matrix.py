@@ -23,8 +23,8 @@ needs).  `integer_roots` finds the integer roots of a monic integer
 polynomial by Hensel lifting, in time polynomial in the bit size, so the
 rational eigenvalues of M = N / den are r / den for the integer roots r
 of N's charpoly; `rational_roots` maps any rational polynomial to that
-case, and `rootless_prime` certifies that a polynomial has no rational
-root.
+case, and `cubic_integer_root` finds an integer root of a monic cubic
+by bisection, independently of the Hensel lifting.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
 # `integer_roots` tries f itself at this many primes before its square-free part
 SIMPLE_ROOT_PRIMES = 4
-WITNESS_PRIME_BOUND = 1000
 
 
 def _check_shape(nums):
@@ -535,30 +534,63 @@ def _roots_mod(h, q):
     return [r for r, v in enumerate(values) if not v]
 
 
-def rootless_prime(coeffs, bound=WITNESS_PRIME_BOUND):
-    """The least prime q < bound modulo which the integer polynomial has
-    no root, or None.  Such a q proves that a monic one has no rational
-    root: its rational roots are integers, and an integer root r would
-    be the root r mod q."""
-    for q in _primes():
-        if q >= bound:
-            return None
-        if not _roots_mod(coeffs, q):
-            return q
+def cubic_integer_root(f):
+    """An integer root of the monic integer cubic f (coefficients
+    ascending), or None; found without primes, so an answer of None
+    proves that f has no rational root.  Every integer root lies in
+    (-h, h), h = 1 + max |f_i|.  f' = 3t^2 + 2at + b has real roots only
+    when d = a^2 - 3b > 0, and each, (-a -/+ sqrt d) / 3, lies strictly
+    between k - 1 and k + 2 for k = (-a -/+ isqrt(d)) // 3.  f is
+    monotone on the integers between those windows, where bisection
+    finds a root; the integers k and k + 1 are tried directly."""
+    c, b, a, _one = f
+    h = 1 + max(abs(a), abs(b), abs(c))
+    d = a * a - 3 * b
+    if d <= 0:
+        return _monotone_root(f, -h, h)
+    s = isqrt(d)
+    k1, k2 = (-a - s) // 3, (-a + s) // 3
+    for r in (k1, k1 + 1, k2, k2 + 1):
+        if upoly_eval(f, r) == 0:
+            return r
+    for lo, hi in ((-h, k1 - 1), (k1 + 2, k2 - 1), (k2 + 2, h)):
+        r = _monotone_root(f, lo, hi)
+        if r is not None:
+            return r
+    return None
+
+
+def _monotone_root(f, lo, hi):
+    """An integer r in [lo, hi] with f(r) = 0, or None, for f monotone on
+    the integers of [lo, hi]: bisection on the sign of f."""
+    if lo > hi:
+        return None
+    low, high = upoly_eval(f, lo), upoly_eval(f, hi)
+    if not low:
+        return lo
+    if not high:
+        return hi
+    if (low > 0) == (high > 0):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = upoly_eval(f, mid)
+        if not value:
+            return mid
+        if (value > 0) == (low > 0):
+            lo = mid
+        else:
+            hi = mid
+    return None
 
 
 def _primes():
     """2, 3, 5, 7, ... without end."""
-    yield from _SMALL_PRIMES
-    n = _SMALL_PRIMES[-1] + 2
+    n = 2
     while True:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+        if all(n % d for d in range(2, isqrt(n) + 1)):
             yield n
-        n += 2
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-                 73, 79, 83, 89, 97)
+        n += 1
 
 
 def _derivative(p):

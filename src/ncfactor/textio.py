@@ -69,19 +69,10 @@ def _ratios(tokens):
 
 def read_matrix(lines, pos, d):
     """The d x d rational matrix written in lines[pos:pos + d], read into
-    int rows over one denominator.  A block without "/" is tried with
-    `int` alone first."""
-    text = [lines[pos + i] for i in range(d)]
-    rows = [ln.split() for ln in text]
+    int rows over one denominator."""
+    rows = [lines[pos + i].split() for i in range(d)]
     if list(map(len, rows)) != [d] * d:
         raise FormatError("expected %d entries per matrix row" % d)
-    if "/" not in "".join(text):
-        try:
-            ints = [list(map(int, row)) for row in rows]
-        except ValueError:
-            pass
-        else:
-            return Matrix.from_nums(QQ, ints)
     nums, dens = _ratios([t for row in rows for t in row])
     den = lcm(*dens)
     if den != 1:

@@ -321,6 +321,9 @@ def test_circuit_text_errors():
         Circuit.from_text("ncc field=Q alphabet=xy\ng0 = VAR z\noutput g0\n")
     with pytest.raises(FormatError):
         Circuit.from_text("ncc field=Q alphabet=xy\ng0 = VAR x\n")
+    with pytest.raises(FormatError):
+        Circuit.from_text("ncc field=Q alphabet=xy\ng0 = VAR x\ng1 = VAR y\n"
+                          "g2\t=\tADD\tg0\tg1\noutput g2\n")
 
 
 def test_abp_text_round_trip():

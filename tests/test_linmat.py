@@ -132,10 +132,18 @@ def test_factor_3x3_scalar_family():
 
 
 def test_factor_3x3_companion_irreducible():
-    companion = Matrix.from_ints(QQ, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])
-    res = factor_3x3(LinearMatrix([I3, companion]))
-    assert isinstance(res, Irreducible)
-    assert res.reason == "charpoly-irreducible"
+    """The companion matrices of t^3 - 2 and of t^3 + t + P, P the
+    product of the primes below 1000: the second has the root 0 modulo
+    each of them but no rational root."""
+    big = 1
+    for q in range(2, 1000):
+        if all(q % d for d in range(2, q)):
+            big *= q
+    for companion in (Matrix.from_ints(QQ, [[0, 0, 2], [1, 0, 0], [0, 1, 0]]),
+                      Matrix.from_ints(QQ, [[0, 0, -big], [1, 0, -1], [0, 1, 0]])):
+        res = factor_3x3(LinearMatrix([I3, companion]))
+        assert isinstance(res, Irreducible)
+        assert res.reason == "charpoly-irreducible"
 
 
 def test_factor_3x3_unit_input():

@@ -5,7 +5,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from ncfactor.fields import GF2, GF3, QQ, PrimeField, PrimeFieldElement
-from ncfactor.matrix import Matrix, integer_roots, rational_roots, upoly_eval
+from ncfactor.matrix import Matrix, cubic_integer_root, integer_roots, rational_roots, upoly_eval
 
 
 def rand_matrix(rng, n, lo=-4, hi=4):
@@ -244,6 +244,30 @@ def test_integer_roots_keeps_only_exact_roots():
     assert integer_roots([2, 1, 1]) == []
     assert integer_roots([42, -7, -6, 1]) == [(6, 1)]
     assert rational_roots((Fraction(2), Fraction(1), Fraction(1))) == []
+
+
+def test_cubic_integer_root_matches_search():
+    """Seeded monic cubics: every one with small coefficients against a
+    search of all integers within the root bound, and products
+    (t - r)(t^2 + bt + c) with roots of up to 30 digits, double roots
+    and roots next to the critical points, against the known root."""
+    rng = random.Random(3)
+    for _ in range(400):
+        f = [rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(-12, 12), 1]
+        h = 1 + max(map(abs, f))
+        found = cubic_integer_root(f)
+        roots = [r for r in range(-h, h + 1) if upoly_eval(f, r) == 0]
+        assert (found is None) == (not roots), f
+        assert found is None or found in roots, f
+    for _ in range(200):
+        r = rng.randint(-10 ** rng.choice((1, 3, 30)), 10 ** 30)
+        b, c = rng.choice(((-2 * r, r * r), (rng.randint(-99, 99), rng.randint(-99, 99)),
+                           (rng.randint(-3, 3) * 10 ** 20, rng.randint(-5, 5))))
+        f = [-r * c, c - r * b, b - r, 1]
+        found = cubic_integer_root(f)
+        assert found is not None and upoly_eval(f, found) == 0, f
+    assert cubic_integer_root([2, 0, 0, 1]) is None
+    assert cubic_integer_root([7, 1, 0, 1]) is None
 
 
 def test_nullspace_examples():

@@ -38,9 +38,9 @@ def test_corrupted_certificate_raises_soundness_error(monkeypatch):
 
 
 def test_missed_rational_root_raises_soundness_error(monkeypatch):
-    """A cubic charpoly found without rational roots must have no root
-    modulo some prime.  SPLIT's coefficient has the roots 1, 2 and 3, so
-    a root finder that misses them ends in SoundnessError, not in the
+    """A cubic charpoly found without rational roots is searched again
+    by bisection.  SPLIT's coefficient has the roots 1, 2 and 3, so a
+    root finder that misses them ends in SoundnessError, not in the
     verdict charpoly-irreducible."""
     assert factor_3x3(SPLIT).nontrivial_count() >= 2
     monkeypatch.setattr(linmat, "integer_roots", lambda coeffs: [])
