@@ -510,6 +510,92 @@ def test_product_linear():
                         LinearMatrix([I2, Matrix.from_ints(QQ, [[0, 0], [1, 0]])])])
 
 
+def ref_product_linear(factors):
+    """The pairwise product on Matrix operations: each step pads both
+    factors with zero coefficients to the longer one, refuses any nonzero
+    F_a * G_b, and keeps F0*G0 + sum (F0*G_i + F_i*G0) x_i."""
+    factors = list(factors)
+    if not factors:
+        raise ValueError("empty product")
+    acc = factors[0]
+    for nxt in factors[1:]:
+        if acc.d != nxt.d:
+            raise ValueError("factor dimension mismatch")
+        n = max(acc.n, nxt.n)
+        zero = Matrix.zeros(QQ, acc.d, acc.d)
+        a = list(acc.mats[1:]) + [zero] * (n - acc.n)
+        b = list(nxt.mats[1:]) + [zero] * (n - nxt.n)
+        for ai in a:
+            for bj in b:
+                if not (ai * bj).is_zero():
+                    raise ValueError("product of factors is not linear")
+        mats = [acc.constant * nxt.constant]
+        for i in range(n):
+            mats.append(acc.constant * b[i] + a[i] * nxt.constant)
+        acc = LinearMatrix(mats)
+    return acc
+
+
+def _refused_at(product, chain):
+    """The length of the first prefix of the chain that `product` refuses
+    as not linear, or None when it multiplies the whole chain."""
+    for k in range(2, len(chain) + 1):
+        try:
+            product(chain[:k])
+        except ValueError as exc:
+            assert "not linear" in str(exc)
+            return k
+    return None
+
+
+def _product_chains(rng):
+    """Chains of 2-4 factors: runs of consecutive factors of seeded
+    `factor_3x3` and `zdiv_to_factorization` certificates (with integer and
+    with fractional basis changes threaded through), some with a constant
+    factor (n = 0) put in, and the same runs reversed, which mostly have
+    a nonzero F_a * G_b at some step."""
+    certs = []
+    while len(certs) < 8:
+        res = factor_3x3(_reducible_3x3(rng))
+        if isinstance(res, FactorizationCert) and len(res.factors) >= 2:
+            certs.append(res)
+    for alpha, beta, coords in [(1, 1, (1, -1, 0, 0)), (1, 2, (1, -1, 0, 0)),
+                                (4, 3, (0, 0, 2, 1)), (9, 5, (3, -1, 0, 0))]:
+        certs.append(zdiv_to_factorization(alpha, beta, Quaternion(alpha, beta, coords)))
+    certs += [_fractional_cert(cert, rng) for cert in certs]
+    for cert in certs:
+        factors = list(cert.factors)
+        d = cert.p.nrows
+        runs = [factors[i:j] for i in range(len(factors))
+                for j in range(i + 2, min(i + 4, len(factors)) + 1)]
+        for run in runs:
+            yield run
+            yield run[::-1]
+            if len(run) < 4:
+                constant = LinearMatrix([_rand_fractional_invertible(rng, d)])
+                k = rng.randrange(len(run) + 1)
+                yield run[:k] + [constant] + run[k:]
+
+
+def test_product_linear_matches_matrix_reference():
+    """`product_linear` against the pairwise Matrix-op product: the same
+    linear matrix for every chain the reference multiplies, and a refusal
+    at the same step for every chain it refuses."""
+    rng = random.Random(2424)
+    multiplied = refused = late = 0
+    for chain in _product_chains(rng):
+        step = _refused_at(ref_product_linear, chain)
+        assert _refused_at(product_linear, chain) == step
+        if step is None:
+            got, want = product_linear(chain), ref_product_linear(chain)
+            assert got.n == want.n and got == want
+            multiplied += 1
+        else:
+            refused += 1
+            late += step > 2
+    assert multiplied >= 40 and refused >= 10 and late >= 2
+
+
 def test_quaternion_linmat_entries():
     lin = quaternion_linmat(1, -1)
     mu, mv = lin.coeff(1), lin.coeff(2)
