@@ -49,9 +49,17 @@ from ncfactor import textio
 from ncfactor.errors import FormatError, SoundnessError
 from ncfactor.fields import QQ
 from ncfactor.matrix import (Matrix, cubic_integer_root, independent, int_kernel,
-                             integer_roots, over_one_denominator)
+                             integer_roots, mul_vec, over_one_denominator)
 from ncfactor.quaternion import (Quaternion, hmul, is_zero_divisor, left_orbit, mu_matrix,
                                  mv_matrix)
+
+
+def _rational_dims(head):
+    """(d, n) of a linmat or cert header, which must say field=Q if it
+    names a field."""
+    if head.get("field", "Q") != "Q":
+        raise FormatError("linear matrices and certificates are rational only")
+    return int(head["d"]), int(head["n"])
 
 
 class LinearMatrix:
@@ -119,7 +127,7 @@ class LinearMatrix:
             gens = [_mul_rows(a0inv.nums, g) for g in gens]
         image = _unit_vectors(self.d)
         while gens:
-            vecs = [_apply(g, v) for g in gens for v in image]
+            vecs = [mul_vec(g, v) for g in gens for v in image]
             vecs = [vecs[j] for j in independent(vecs)]
             if not vecs:
                 return True
@@ -144,9 +152,7 @@ class LinearMatrix:
 
     @classmethod
     def _from_lines(cls, head, lines):
-        d, n = int(head["d"]), int(head["n"])
-        if head.get("field", "Q") != "Q":
-            raise FormatError("linear matrices are rational only")
+        d, n = _rational_dims(head)
         if len(lines) != (n + 1) * d:
             raise FormatError("expected %d matrix rows, got %d" % ((n + 1) * d, len(lines)))
         return cls([textio.read_matrix(lines, b * d, d) for b in range(n + 1)])
@@ -196,7 +202,7 @@ class FactorizationCert:
 
     @classmethod
     def _from_lines(cls, head, lines):
-        d, n = int(head["d"]), int(head["n"])
+        d, n = _rational_dims(head)
         if lines[0] != "P":
             raise FormatError("expected P block")
         p = textio.read_matrix(lines, 1, d)
@@ -345,27 +351,24 @@ def verify_cert(cert, L):
 
 
 def product_linear(factors):
-    """Product of linear matrices that stays linear (degree-2 coefficient
-    blocks must vanish pairwise, as in the unit-absorbing block forms)."""
+    """Product of linear matrices that stays linear, two factors at a time
+    by the word product of `verify_cert`: a step with a nonzero word of
+    length 2, some F_a * G_b, raises ValueError (unit-absorbing block
+    forms make these vanish pairwise)."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
     acc = factors[0]
+    d = acc.d
     for nxt in factors[1:]:
-        if acc.d != nxt.d:
+        if nxt.d != d:
             raise ValueError("factor dimension mismatch")
-        n = max(acc.n, nxt.n)
-        zero = Matrix.zeros(QQ, acc.d, acc.d)
-        a = list(acc.mats[1:]) + [zero] * (n - acc.n)
-        b = list(nxt.mats[1:]) + [zero] * (n - nxt.n)
-        for ai in a:
-            for bj in b:
-                if any(map(any, _mul_rows(ai.nums, bj.nums))):
-                    raise ValueError("product of factors is not linear")
-        mats = [acc.constant * nxt.constant]
-        for i in range(n):
-            mats.append(acc.constant * b[i] + a[i] * nxt.constant)
-        acc = LinearMatrix(mats)
+        s, coeffs = _product([acc.mats, nxt.mats], d)
+        if any(len(w) == 2 for w in coeffs):
+            raise ValueError("product of factors is not linear")
+        zero = [[0] * d] * d
+        acc = LinearMatrix([Matrix.from_nums(QQ, coeffs.get(w, zero), s)
+                            for w in [()] + [(i,) for i in range(max(acc.n, nxt.n))]])
     return acc
 
 
@@ -394,11 +397,6 @@ def _identity(d):
 
 def _unit_vectors(d):
     return [[int(i == j) for i in range(d)] for j in range(d)]
-
-
-def _apply(rows, v):
-    """The int vector rows * v."""
-    return [sum(map(mul, r, v)) for r in rows]
 
 
 def _mul_rows(a, b):
@@ -466,12 +464,12 @@ def common_eigenlines(mats, side="right", roots=None):
             out.append((_normalize_line(s[0]), lams))
             return
         a = work[len(lams)]
-        prods = [_apply(a.nums, v) for v in s]
+        prods = [mul_vec(a.nums, v) for v in s]
         for r, _mult in _eigenvalues(a, roots):
             cols = [[x - r * y for x, y in zip(nv, v)] for nv, v in zip(prods, s)]
             kernel = int_kernel(list(zip(*cols)))
             if kernel:
-                rec([_apply(list(zip(*s)), k) for k in kernel], lams + (Fraction(r, a.den),))
+                rec([mul_vec(list(zip(*s)), k) for k in kernel], lams + (Fraction(r, a.den),))
 
     rec(_unit_vectors(work[0].nrows), ())
     out.sort()
@@ -742,26 +740,14 @@ def factorization_to_zdiv(alpha, beta, f, g):
         if factor.degree == 0 or factor.is_unit():
             raise ValueError("unit factor: the factorization is trivial")
 
-    g0inv = g.constant.inverse()
-    assert g0inv is not None, "G(0,0) is invertible since F0*G0 = I"
-    assert f.constant * g.constant == ident4
-    zero = Matrix.zeros(QQ, 4, 4)
-    pad = lambda lin: list(lin.mats[1:]) + [zero] * (2 - lin.n)
-    # (F_a G0)(G0^-1 G_b) = F_a G_b: the normalized coefficients cancel iff these do
-    for a in pad(f):
-        for b_ in pad(g):
-            assert not any(map(any, _mul_rows(a.nums, b_.nums))), \
-                "degree-2 coefficients must cancel"
-
-    gx, gy = (g0inv * m for m in pad(g))
-    g_cols = gx.hstack(gy)
+    # verify_cert has proved F0*G0 = I and F_a*G_b = 0: W is spanned by the
+    # columns of G0^-1 [G_x | G_y]
+    g_cols = g.mats[1]
+    for m in g.mats[2:]:
+        g_cols = g_cols.hstack(m)
+    g_cols = g.constant.inverse() * g_cols
     all_cols = list(zip(*g_cols.nums))
     cols = [all_cols[j] for j in independent(all_cols)]
-    assert cols, "a non-unit right factor has nonzero linear part"
-    assert len(cols) < 4, "a non-unit left factor forces a proper subspace"
-    for m in (mu_matrix(alpha), mv_matrix(beta)):
-        assert len(independent(cols + [_apply(m.nums, c) for c in cols])) == len(cols), \
-            "W must be invariant under M_u and M_v"
 
     # a column that is a multiple of e1 = 1 comes last
     candidates = sorted(cols, key=lambda c: not any(c[1:]))

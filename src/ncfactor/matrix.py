@@ -13,31 +13,31 @@ and `col(j)` hand out the nums themselves; over Q they build the
 The product skips zero entries, so its cost follows the nonzeros: the
 block matrices of black-box recovery are mostly zero.  One
 fraction-free elimination core (`_reduce`, Bareiss-style Gauss-Jordan
-on integer rows) answers `rank`, `det`, `nullspace`, `inverse` and
-`pivot_cols`, the columns independent of those before them, and, for
-callers that work on int vectors without building a `Matrix`,
-`independent` and `int_kernel`.  The characteristic polynomial comes from Berkowitz's
+on integer rows) answers `rank`, `det`, `inverse` and `pivot_cols`, the
+columns independent of those before them, and through one kernel
+reader (`_kernel`) `nullspace`.  Callers that work on int vectors
+without building a `Matrix` use `independent`, `int_kernel` and
+`mul_vec`.  The characteristic polynomial comes from Berkowitz's
 division-free recursion on `nums` (`int_charpoly`); coefficient k is
 then divided by den^(n-k) (dimensions are capped at 8, per the callers'
 needs).  `integer_roots` finds the integer roots of a monic integer
-polynomial by Hensel lifting, in time polynomial in the bit size, so the
-rational eigenvalues of M = N / den are r / den for the integer roots r
-of N's charpoly; `rational_roots` maps any rational polynomial to that
-case, and `cubic_integer_root` finds an integer root of a monic cubic
-by bisection, independently of the Hensel lifting.
+polynomial by Hensel lifting from its square-free part, in time
+polynomial in the bit size, so the rational eigenvalues of M = N / den
+are r / den for the integer roots r of N's charpoly; `rational_roots`
+maps any rational polynomial to that case, and `cubic_integer_root`
+finds an integer root of a monic cubic by bisection, independently of
+the Hensel lifting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
 CHARPOLY_MAX_DIM = 8
 ROOTS_MAX_DEGREE = 4
-# `integer_roots` tries f itself at this many primes before its square-free part
-SIMPLE_ROOT_PRIMES = 4
 
 
 def _check_shape(nums):
@@ -273,26 +273,13 @@ class Matrix:
         return _element(self.field.characteristic, sign * d, self.den ** self.nrows)
 
     def nullspace(self):
-        """Basis of the right nullspace; [] when the kernel is trivial.
-
-        One vector per free column: that variable 1, the other free
-        variables 0, read from the reduced form."""
-        field = self.field
-        p = field.characteristic
-        rows, pivots, d, _sign = _reduce(self.nums, p)
+        """Basis of the right nullspace; [] when the kernel is trivial: the
+        vectors of `_kernel` divided by d, so each has 1 at its free column."""
+        p = self.field.characteristic
+        basis, d = _kernel(self.nums, p)
         # x / d, over F_p as x times the inverse of d
         num, den = (pow(d, -1, p), 1) if p else (1, d)
-        zero, one = field.zero, field.one
-        basis = []
-        for fc in range(self.ncols):
-            if fc in pivots:
-                continue
-            v = [zero] * self.ncols
-            v[fc] = one
-            for k, pc in enumerate(pivots):
-                v[pc] = _element(p, -rows[k][fc] * num, den)
-            basis.append(tuple(v))
-        return basis
+        return [tuple(_element(p, x * num, den) for x in v) for v in basis]
 
     def inverse(self):
         """Exact inverse, or None when singular.  With M = N / den, the int
@@ -343,7 +330,7 @@ class Matrix:
             v = [row[r] for row in a[:r]]
             for k in range(r):
                 if k:
-                    v = [sum(map(mul, row, v)) for row in block]
+                    v = mul_vec(block, v)
                 toeplitz.append(-sum(map(mul, border, v)))
             vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i, r) + 1))
                    for i in range(r + 2)]
@@ -417,12 +404,18 @@ def independent(vectors):
     return _reduce(list(zip(*vectors)))[1]
 
 
-def int_kernel(rows):
-    """A basis of the right nullspace of the int rows over Q, as int
-    vectors; [] when the kernel is trivial.  Each vector is the one
-    `Matrix.nullspace` gives for the same free column, times the last
-    pivot d: d at the free column, 0 at the other free columns."""
-    reduced, pivots, d, _sign = _reduce(rows)
+def mul_vec(rows, v):
+    """The int vector rows * v."""
+    return [sum(map(mul, r, v)) for r in rows]
+
+
+def _kernel(rows, p=0):
+    """(basis, d): a basis of the right nullspace of the int rows over Q
+    (p = 0) or F_p, as int vectors, and the last pivot d of `_reduce`.
+    One vector per free column: d there, 0 at the other free columns,
+    the pivot entries read from the reduced form; [] when the kernel is
+    trivial."""
+    reduced, pivots, d, _sign = _reduce(rows, p)
     ncols = len(rows[0])
     basis = []
     for fc in range(ncols):
@@ -433,7 +426,14 @@ def int_kernel(rows):
         for k, pc in enumerate(pivots):
             v[pc] = -reduced[k][fc]
         basis.append(v)
-    return basis
+    return basis, d
+
+
+def int_kernel(rows):
+    """A basis of the right nullspace of the int rows over Q, as int
+    vectors: those of `Matrix.nullspace` for the same free columns times
+    the last pivot d."""
+    return _kernel(rows)[0]
 
 
 # -- univariate polynomial helpers (coefficient lists, ascending) -----
@@ -460,8 +460,7 @@ def rational_roots(coeffs):
     n = len(p) - 1
     if n > ROOTS_MAX_DEGREE:
         raise ValueError("rational_roots capped at degree %d" % ROOTS_MAX_DEGREE)
-    scale = lcm(*(c.denominator for c in p))
-    a = _primitive([c.numerator * (scale // c.denominator) for c in p])
+    a = _primitive(over_one_denominator(p)[1])
     lead = a[-1]
     monic = [c * lead ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
     return [(Fraction(s, lead), mult) for s, mult in integer_roots(monic)]
@@ -472,28 +471,23 @@ def integer_roots(coeffs):
     coefficients ascending, as a sorted list of (root, multiplicity).
 
     Polynomial in the bit size (von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 15): the roots of a square-free h are found
-    modulo a prime q at which all of them are simple, and each is
-    Hensel-lifted until the modulus passes 2 (1 + max |h_i|), twice the
-    bound on an integer root of monic h.  h is f itself when one of the
-    first few primes has that property: an integer root of f then
-    reduces to a simple root modulo q, so it is simple and it is the
-    lift of its residue.  Only otherwise (f has a repeated root, or all
-    its roots collide modulo those primes) is h the square-free part
-    f / gcd(f, f').  A lifted residue is a root only if exact substitution
-    gives 0; synthetic division by t - r then counts its multiplicity."""
+    Computer Algebra, ch. 15): the roots of the square-free part
+    h = f / gcd(f, f') are found modulo the first prime q at which all of
+    them are simple, and each is Hensel-lifted until the modulus passes
+    2 (1 + max |h_i|), twice the bound on an integer root of monic h.  A
+    lifted residue is a root only if exact substitution gives 0;
+    synthetic division of f by t - r then counts its multiplicity."""
     f = list(coeffs)
     if f[-1] != 1:
         raise ValueError("integer_roots needs a monic polynomial")
     if len(f) == 1:
         return []
-    h = f
-    found = _simple_residues(h, islice(_primes(), SIMPLE_ROOT_PRIMES))
-    if found is None:
-        h = _squarefree(f)
-        found = _simple_residues(h, _primes())
-    q, residues = found
+    h = _squarefree(f)
     dh = _derivative(h)
+    for q in _primes():
+        residues = _roots_mod(h, q)
+        if all(upoly_eval(dh, r) % q for r in residues):
+            break
     bound = 2 * (1 + max(map(abs, h)))
     out = []
     for r in residues:
@@ -512,17 +506,6 @@ def integer_roots(coeffs):
         if mult:
             out.append((r, mult))
     return sorted(out)
-
-
-def _simple_residues(h, primes):
-    """(q, roots of h mod q) for the first q of `primes` at which every
-    root of h mod q is simple, or None when no q of them qualifies."""
-    dh = _derivative(h)
-    for q in primes:
-        residues = _roots_mod(h, q)
-        if all(upoly_eval(dh, r) % q for r in residues):
-            return q, residues
-    return None
 
 
 def _roots_mod(h, q):

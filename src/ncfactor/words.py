@@ -9,6 +9,7 @@ unambiguous.
 
 from __future__ import annotations
 
+from itertools import chain, count, islice
 from math import comb
 
 from ncfactor.errors import BudgetExceededError, SoundnessError
@@ -66,31 +67,31 @@ def dyck_words(half_length):
         word[i:] = [X] + [Y] * height + [X, Y] * (xs_after - 1)
 
 
+def _family(length, k):
+    """The words x^k * d * y^k of the given length (d Dyck), ascending."""
+    if length < 2 * k or length % 2:
+        return
+    head, tail = (X,) * k, (Y,) * k
+    for d in dyck_words(length // 2 - k):
+        yield head + d + tail
+
+
 def minimally_balanced_words(length):
     """All minimally balanced words of the given even length, ascending."""
-    if length < 2 or length % 2:
-        return
-    for d in dyck_words(length // 2 - 1):
-        yield (X,) + d + (Y,)
+    yield from _family(length, 1)
 
 
 def minimally_balanced_up_to(max_length):
     """All minimally balanced words of length <= max_length, shortest first
     and ascending within a length — the canonical indexing u_1, u_2, ...
     """
-    out = []
-    for length in range(2, max_length + 1, 2):
-        out.extend(minimally_balanced_words(length))
-    return out
+    return [w for length in range(2, max_length + 1, 2) for w in _family(length, 1)]
 
 
 def paper_family_words(length):
     """Words xx*d*yy of the given length (d Dyck), ascending; these are the
     uniform-length minimally balanced words the recovery automaton uses."""
-    if length < 4 or length % 2:
-        return
-    for d in dyck_words(length // 2 - 2):
-        yield (X, X) + d + (Y, Y)
+    yield from _family(length, 2)
 
 
 class WordSet:
@@ -138,23 +139,11 @@ def enumerate_words(n, mode="compact"):
     if n > WORDS_MAX:
         raise BudgetExceededError("word set of %d words, limit %d" % (n, WORDS_MAX))
     if mode == "compact":
-        words = []
-        length = 2
-        while len(words) < n:
-            for w in minimally_balanced_words(length):
-                words.append(w)
-                if len(words) == n:
-                    break
-            length += 2
-        return WordSet(words, "compact")
+        family = chain.from_iterable(_family(length, 1) for length in count(2, 2))
+        return WordSet(islice(family, n), "compact")
     if mode == "paper":
         ell = max((4 * n - 1).bit_length(), 7)
         if n > catalan(ell - 2):
             raise SoundnessError("length %d leaves too few words for n=%d" % (2 * ell, n))
-        words = []
-        for w in paper_family_words(2 * ell):
-            words.append(w)
-            if len(words) == n:
-                break
-        return WordSet(words, "paper")
+        return WordSet(islice(_family(2 * ell, 2), n), "paper")
     raise ValueError("mode must be 'paper' or 'compact', got %r" % mode)

@@ -330,6 +330,7 @@ MALFORMED_FILES = [
     ("abp-edge-past-sink", ABP + "layer 0\nedge 0 0 1*x1\nlayer 1\nedge 0 3 1*x2\n", EVAL),
     ("cert-unit-flag-not-0-or-1",
      "".join(CERT_LINES).replace("factor unit=0", "factor unit=2", 1), VERIFY),
+    ("cert-field-not-Q", "".join(CERT_LINES).replace("field=Q", "field=F7", 1), VERIFY),
 ]
 
 BAD_LITERALS = [
