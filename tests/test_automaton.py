@@ -477,3 +477,190 @@ def test_reduce_and_recover_product_law():
             assert is_irreducible(part)
             prod = prod * part
         assert prod == f
+
+
+def ref_demand(c, automaton):
+    """The demand pass as it stood before its per-gate row dicts: sets of
+    columns keyed by (gate, row), turned into need[gate] = set of rows."""
+    moves = automaton.moves
+    zero = c.field.zero
+    cols = {}
+    stack = [(c.output, automaton.q0)]
+    while stack:
+        key = stack[-1]
+        if key in cols:
+            stack.pop()
+            continue
+        g, i = key
+        gate = c.gates[g]
+        kind = gate[0]
+        if kind == "var":
+            move = moves[gate[1]].get(i)
+            cols[key] = set() if move is None else {move[0]}
+        elif kind == "const":
+            cols[key] = {i} if gate[1] != zero else set()
+        else:
+            ka = (gate[1], i)
+            if ka not in cols:
+                stack.append(ka)
+                continue
+            kbs = [(gate[2], i)] if kind == "add" else [(gate[2], k) for k in cols[ka]]
+            missing = [kb for kb in kbs if kb not in cols]
+            if missing:
+                stack.extend(missing)
+                continue
+            reached = set(cols[ka]) if kind == "add" else set()
+            for kb in kbs:
+                reached |= cols[kb]
+            cols[key] = reached
+        stack.pop()
+    need = [set() for _ in c.gates]
+    for g, i in cols:
+        need[g].add(i)
+    return need
+
+
+def ref_pruned(gates, output):
+    """(gates, output) with the gates the output does not reach dropped,
+    remapped in order."""
+    keep = set()
+    stack = [output]
+    while stack:
+        k = stack.pop()
+        if k not in keep:
+            keep.add(k)
+            if gates[k][0] in ("add", "mul"):
+                stack.extend(gates[k][1:])
+    remap = {old: new for new, old in enumerate(sorted(keep))}
+    out = tuple((g[0], remap[g[1]], remap[g[2]]) if g[0] in ("add", "mul") else g
+                for g in (gates[k] for k in sorted(keep)))
+    return out, remap[output]
+
+
+def ref_recover_circuit(c, automaton):
+    """The recovery build as it stood before the per-gate row dicts, on
+    `ref_demand`'s row sets, pruned by `ref_pruned`: (gates, output)."""
+    field = c.field
+    b = CircuitBuilder(Alphabet.nvars(automaton.n_vars), field)
+    one_gate = b.const(field.one)
+    need = ref_demand(c, automaton)
+    var_rows = [None, None]
+
+    def mul_gates(g1, g2):
+        if g1 == one_gate:
+            return g2
+        if g2 == one_gate:
+            return g1
+        return b.mul(g1, g2)
+
+    grids = []
+    for g, rows in zip(c.gates, need):
+        kind = g[0]
+        if kind == "var":
+            if var_rows[g[1]] is None:
+                var_rows[g[1]] = {i: ((i, j), one_gate if out is None else b.var(out))
+                                  for i, (j, out) in automaton.moves[g[1]].items()}
+            entries = var_rows[g[1]]
+            grid = dict(entries[i] for i in sorted(rows) if i in entries)
+        elif kind == "const":
+            grid = {}
+            if g[1] != field.zero:
+                cg = b.const(g[1])
+                grid = {(i, i): cg for i in sorted(rows)}
+        elif not rows:
+            grid = {}
+        elif kind == "add":
+            a, bb_ = grids[g[1]], grids[g[2]]
+            grid = {key: gate for key, gate in a.items() if key[0] in rows}
+            for key, gate in bb_.items():
+                if key[0] in rows:
+                    grid[key] = b.add(grid[key], gate) if key in grid else gate
+        else:
+            a, bb_ = grids[g[1]], grids[g[2]]
+            by_row = {}
+            for (k, j), gate in bb_.items():
+                by_row.setdefault(k, []).append((j, gate))
+            grid = {}
+            for (i, k), ga in a.items():
+                if i not in rows:
+                    continue
+                for j, gb in by_row.get(k, ()):
+                    prod = mul_gates(ga, gb)
+                    key = (i, j)
+                    grid[key] = b.add(grid[key], prod) if key in grid else prod
+        grids.append(grid)
+    out_grid = grids[c.output]
+    parts = [out_grid[key] for key in ((automaton.q0, automaton.qf),
+                                       (automaton.q0, automaton.q0))
+             if key in out_grid]
+    if not parts:
+        out = b.const(field.zero)
+    elif len(parts) == 1:
+        out = parts[0]
+    else:
+        out = b.add(parts[0], parts[1])
+    return ref_pruned(tuple(b.gates), out)
+
+
+def sum_heavy(rng, wordset, nterms):
+    """Bivariate circuit heavy in ADD and CONST gates: a sum of products of
+    one to three factors, each factor a sum of embedding words (now and
+    then mirrored) and constants (zero among them), shared between terms
+    a third of the time; a constant weight stands left or right of some
+    products, and a sum nothing reads is left behind."""
+    small = (-2, -1, 0, 1, 2, 3)
+    gates = []
+
+    def gate(*g):
+        gates.append(g)
+        return len(gates) - 1
+
+    def part():
+        if rng.random() < 0.35:
+            return gate("const", QQ.from_int(rng.choice(small)))
+        word = rng.choice(wordset.words)
+        if rng.random() < 0.2:
+            word = tuple(1 - a for a in word)
+        node = gate("var", word[0])
+        for a in word[1:]:
+            node = gate("mul", node, gate("var", a))
+        return node
+
+    factors = []
+    acc = None
+    for _ in range(nterms):
+        term = None
+        for _ in range(rng.randint(1, 3)):
+            if factors and rng.random() < 0.3:
+                factor = rng.choice(factors)
+            else:
+                factor = part()
+                for _ in range(rng.randint(0, 2)):
+                    factor = gate("add", factor, part())
+                factors.append(factor)
+            term = factor if term is None else gate("mul", term, factor)
+        r = rng.random()
+        if r < 0.3:
+            term = gate("mul", gate("const", QQ.from_int(rng.choice(small))), term)
+        elif r < 0.6:
+            term = gate("mul", term, gate("const", QQ.from_int(rng.choice(small))))
+        acc = term if acc is None else gate("add", acc, term)
+    gate("add", part(), part())
+    return Circuit(AB, QQ, gates, acc)
+
+
+@pytest.mark.parametrize("mode", ["compact", "paper"])
+def test_recover_circuit_matches_reference(mode):
+    """The recovery makes the reference's gates, in its order, on seeded
+    circuits heavy in ADD and CONST gates, raw sums and embedded
+    formulas, at n = 1, 4, 16 and 64."""
+    rng = random.Random(31 if mode == "paper" else 30)
+    for n in (1, 4, 16, 64):
+        e = Embedding.for_variables(n, mode)
+        a = build_automaton(e.wordset)
+        circuits = [sum_heavy(rng, e.wordset, nterms) for nterms in (2, 5, 12)]
+        circuits.append(raw_sum(rng, e.wordset, 6))
+        circuits.append(phi_circuit(random_formula(rng, n, 8), e))
+        for c in circuits:
+            back = recover_circuit(c, a)
+            assert (back.gates, back.output) == ref_recover_circuit(c, a)

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ncfactor import textio
 from ncfactor.circuits import (Abp, Circuit, CircuitBuilder, MatrixAssignment,
                                affine_from_str, affine_to_str, circuit_from_poly,
                                equal_whp, eval_word)
 from ncfactor.errors import BudgetExceededError, FormatError
-from ncfactor.fields import GF2, QQ
+from ncfactor.fields import GF2, QQ, parse_field
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly
 
@@ -353,3 +355,115 @@ def test_pruned_keeps_semantics():
     p = c.pruned()
     assert p.size <= c.size
     assert p.expand() == c.expand()
+
+
+class RefCircuitText:
+    """The circuit reader as it stood before its one-split parser: the
+    line split at its first " = ", each gate reference read by `_ref`.
+    It reads through `textio.read` like the real reader, so the two are
+    compared on the same wrapping of what they raise."""
+
+    KIND = "ncc"
+
+    @staticmethod
+    def _ref(tok):
+        if not tok.startswith("g"):
+            raise FormatError("bad gate reference %r" % tok)
+        return int(tok[1:])
+
+    @classmethod
+    def _from_lines(cls, head, lines):
+        field = parse_field(head["field"])
+        alphabet = Alphabet.parse_spec(head["alphabet"])
+        gates = []
+        output = None
+        for ln in lines:
+            if ln.startswith("output "):
+                output = cls._ref(ln.split()[1])
+                continue
+            target, rhs = ln.split(" = ", 1)
+            if cls._ref(target) != len(gates):
+                raise FormatError("gates must be numbered consecutively: %r" % ln)
+            parts = rhs.split()
+            op = parts[0]
+            if op == "VAR":
+                gates.append(("var", alphabet.index(parts[1])))
+            elif op == "CONST":
+                gates.append(("const", field.parse(parts[1])))
+            elif op in ("ADD", "MUL"):
+                gates.append((op.lower(), cls._ref(parts[1]), cls._ref(parts[2])))
+            else:
+                raise FormatError("unknown gate op %r" % op)
+        if output is None:
+            raise FormatError("missing output line")
+        return Circuit(alphabet, field, gates, output)
+
+
+def _read_both(text):
+    """(gates, output) from the reader and from the reference, or
+    FormatError for either when it refuses the text."""
+    out = []
+    for read in (Circuit.from_text, lambda t: textio.read(t, RefCircuitText)):
+        try:
+            c = read(text)
+        except FormatError:
+            out.append(FormatError)
+        else:
+            out.append((c.gates, c.output))
+    return out
+
+
+# Edits of one token of a gate or output line: spacing, numbering, ops,
+# arity, references and literals
+LINE_EDITS = (
+    lambda toks: ["\t".join(toks)],
+    lambda toks: [toks[0] + " "] + toks[1:],
+    lambda toks: [toks[0][0], toks[0][1:]] + toks[1:],
+    lambda toks: toks[:-1],
+    lambda toks: toks + [toks[-1]],
+    lambda toks: toks[:1] + ["=="] + toks[2:],
+    lambda toks: toks[:2] + [toks[2].lower()] + toks[3:] if len(toks) > 2 else toks,
+    lambda toks: toks[:2] + ["SUB"] + toks[3:] if len(toks) > 2 else toks,
+    lambda toks: toks[:-1] + ["g%d" % (int(toks[0][1:]) + 1)] if toks[0][1:].isdigit()
+    else toks,
+    lambda toks: toks[:-1] + ["h" + toks[-1][1:]],
+    lambda toks: toks[:-1] + ["g"],
+    lambda toks: toks[:-1] + ["g-1"],
+    lambda toks: toks[:-1] + ["g+0"],
+    lambda toks: toks[:-1] + ["g0" + toks[-1][1:]],
+    lambda toks: toks[:-1] + ["z"],
+    lambda toks: toks[:-1] + ["1/0"],
+    lambda toks: toks[:-1] + ["-3/6"],
+    lambda toks: ["g%s" % toks[0][1:].zfill(3)] + toks[1:],
+    lambda toks: [],
+)
+
+
+def _mutants(text, rng, count):
+    lines = text.splitlines()
+    for _ in range(count):
+        i = rng.randrange(1, len(lines))
+        edit = rng.choice(LINE_EDITS)
+        yield "\n".join(lines[:i] + [" ".join(edit(lines[i].split()))] + lines[i + 1:]) + "\n"
+
+
+def test_circuit_reader_matches_reference():
+    """On the golden circuits, seeded circuits over Q and F2 and seeded
+    one-line edits of them, the reader gives the reference's gates and
+    output, or both refuse the text with a FormatError."""
+    golden = Path(__file__).parent / "golden"
+    texts = [p.read_text() for p in sorted(golden.glob("*.txt")) + [golden / "inputs" / "f.ncc"]
+             if p.read_text().startswith("ncc ")]
+    rng = random.Random(77)
+    for field, alphabet in ((QQ, AB), (QQ, AB2), (GF2, AB2)):
+        for _ in range(4):
+            texts.append(circuit_from_poly(rand_poly(rng, alphabet, field)).to_text())
+    refused = 0
+    for text in texts:
+        got, want = _read_both(text)
+        assert got == want != FormatError
+        for mutant in _mutants(text, rng, 60):
+            got, want = _read_both(mutant)
+            assert got == want, mutant
+            refused += got is FormatError
+    assert refused > 400
