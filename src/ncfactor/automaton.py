@@ -106,52 +106,67 @@ def build_automaton(wordset):
 
 def _demand(c, automaton):
     """Demand pass: the rows of each gate's grid that row q0 of the output
-    reads, as need[gate] = set of rows.
+    reads, as cols[gate] = {row: columns the row reaches}, the columns a
+    tuple.
 
     Row i of a VAR grid reaches the target of row i's move in the
     letter's move table (nothing when it has none), row i of a CONST
     grid its own column; ADD reads both operands at row i; MUL reads its
     left operand at row i and its right operand at every column k that
-    the left's row i reaches.  Each (gate, row) is resolved once, on an
+    the left's row i reaches, and when that is one column it shares the
+    right operand's entry.  Each (gate, row) is resolved once, on an
     explicit stack, so shared gates are not re-walked and deep circuits
-    do not recurse.  cols[(gate, row)] holds the columns the row reaches.
+    do not recurse.
     """
     moves = automaton.moves
     zero = c.field.zero
-    cols = {}
+    gates = c.gates
+    cols = [{} for _ in gates]
     stack = [(c.output, automaton.q0)]
     while stack:
-        key = stack[-1]
-        if key in cols:
+        g, i = stack[-1]
+        row = cols[g]
+        if i in row:
             stack.pop()
             continue
-        g, i = key
-        gate = c.gates[g]
+        gate = gates[g]
         kind = gate[0]
         if kind == "var":
             move = moves[gate[1]].get(i)
-            cols[key] = set() if move is None else {move[0]}
+            row[i] = () if move is None else (move[0],)
         elif kind == "const":
-            cols[key] = {i} if gate[1] != zero else set()
+            row[i] = (i,) if gate[1] != zero else ()
         else:
-            ka = (gate[1], i)
-            if ka not in cols:
-                stack.append(ka)
+            left = cols[gate[1]].get(i)
+            if left is None:
+                stack.append((gate[1], i))
                 continue
-            kbs = [(gate[2], i)] if kind == "add" else [(gate[2], k) for k in cols[ka]]
-            missing = [kb for kb in kbs if kb not in cols]
-            if missing:
-                stack.extend(missing)
-                continue
-            reached = set(cols[ka]) if kind == "add" else set()
-            for kb in kbs:
-                reached |= cols[kb]
-            cols[key] = reached
+            right = cols[gate[2]]
+            if kind == "add":
+                other = right.get(i)
+                if other is None:
+                    stack.append((gate[2], i))
+                    continue
+                if not other or other == left:
+                    row[i] = left
+                elif not left:
+                    row[i] = other
+                else:
+                    row[i] = tuple(set(left).union(other))
+            elif len(left) == 1:
+                reached = right.get(left[0])
+                if reached is None:
+                    stack.append((gate[2], left[0]))
+                    continue
+                row[i] = reached
+            else:
+                missing = [(gate[2], k) for k in left if k not in right]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                row[i] = tuple(set().union(*(right[k] for k in left)))
         stack.pop()
-    need = [set() for _ in c.gates]
-    for g, i in cols:
-        need[g].add(i)
-    return need
+    return cols
 
 
 def _check_bivariate(obj):
@@ -186,7 +201,7 @@ def recover_circuit(c, automaton):
     out_alphabet = Alphabet.nvars(automaton.n_vars)
     b = CircuitBuilder(out_alphabet, field)
     one_gate = b.const(field.one)
-    need = _demand(c, automaton)
+    need = _demand(c, automaton)  # per gate: the rows to build, as dict keys
     var_rows = [None, None]  # per letter: row -> ((row, col), gate)
 
     def mul_gates(g1, g2):

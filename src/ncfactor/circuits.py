@@ -210,10 +210,14 @@ class Circuit:
             else:
                 remap[k] = len(gates)
                 gates.append((kind, remap[g[1]], remap[g[2]]))
-        return Circuit(alphabet, self.field, gates, remap[self.output]).pruned()
+        # a splice of valid circuits is valid: it is built without re-checking
+        return _circuit(alphabet, self.field, tuple(gates), remap[self.output]).pruned()
 
     def pruned(self):
-        """Drop gates unreachable from the output, preserving order."""
+        """Drop gates unreachable from the output, preserving order; self
+        when the output reaches every gate (a Circuit is immutable).  The
+        remapped copy of a valid circuit is valid, so it is not re-checked."""
+        gates = self.gates
         keep = set()
         stack = [self.output]
         while stack:
@@ -221,20 +225,22 @@ class Circuit:
             if k in keep:
                 continue
             keep.add(k)
-            g = self.gates[k]
+            g = gates[k]
             if g[0] in ("add", "mul"):
                 stack.append(g[1])
                 stack.append(g[2])
+        if len(keep) == len(gates):
+            return self
         order = sorted(keep)
         remap = {old: new for new, old in enumerate(order)}
-        gates = []
+        out = []
         for old in order:
-            g = self.gates[old]
+            g = gates[old]
             if g[0] in ("add", "mul"):
-                gates.append((g[0], remap[g[1]], remap[g[2]]))
+                out.append((g[0], remap[g[1]], remap[g[2]]))
             else:
-                gates.append(g)
-        return Circuit(self.alphabet, self.field, gates, remap[self.output])
+                out.append(g)
+        return _circuit(self.alphabet, self.field, tuple(out), remap[self.output])
 
     # -- serialization -------------------------------------------------
 
@@ -259,25 +265,49 @@ class Circuit:
 
     @classmethod
     def _from_lines(cls, head, lines):
+        """Gate lines `gK = OP ...` and an `output gK` line, each split once.
+        A gate's target is its first token when " = " follows it, and
+        otherwise the text before the first " = " (a line without one, a
+        tab-separated line among them, is malformed).  An operand spelled
+        as an earlier target is looked up; any other is read as g<int>.
+        Numbering, ops, arity and reference syntax are checked here;
+        forward references and the output's range by `Circuit.__init__`."""
         field = parse_field(head["field"])
         alphabet = Alphabet.parse_spec(head["alphabet"])
         gates = []
+        index = {}  # target token -> gate number
         output = None
         for ln in lines:
-            if ln.startswith("output "):
-                output = _gate_ref(ln.split()[1])
-                continue
-            target, rhs = ln.split(" = ", 1)
-            if _gate_ref(target) != len(gates):
+            parts = ln.split()
+            target = parts[0]
+            if ln[len(target):len(target) + 3] != " = ":
+                if ln.startswith("output "):
+                    ref = parts[1]
+                    if ref[0] != "g":
+                        raise FormatError("bad gate reference %r" % ref)
+                    output = int(ref[1:])
+                    continue
+                target, rhs = ln.split(" = ", 1)
+                parts = [target, "="] + rhs.split()
+            k = len(gates)
+            if target[0] != "g":
+                raise FormatError("bad gate reference %r" % target)
+            if int(target[1:]) != k:
                 raise FormatError("gates must be numbered consecutively: %r" % ln)
-            parts = rhs.split()
-            op = parts[0]
-            if op == "VAR":
-                gates.append(("var", alphabet.index(parts[1])))
+            index[target] = k
+            op = parts[2]
+            if op == "MUL" or op == "ADD":
+                a, b = index.get(parts[3]), index.get(parts[4])
+                if a is None or b is None:
+                    a, b = parts[3], parts[4]
+                    if a[0] != "g" or b[0] != "g":
+                        raise FormatError("bad gate reference in %r" % ln)
+                    a, b = int(a[1:]), int(b[1:])
+                gates.append(("mul" if op == "MUL" else "add", a, b))
+            elif op == "VAR":
+                gates.append(("var", alphabet.index(parts[3])))
             elif op == "CONST":
-                gates.append(("const", field.parse(parts[1])))
-            elif op in ("ADD", "MUL"):
-                gates.append((op.lower(), _gate_ref(parts[1]), _gate_ref(parts[2])))
+                gates.append(("const", field.parse(parts[3])))
             else:
                 raise FormatError("unknown gate op %r" % op)
         if output is None:
@@ -285,10 +315,12 @@ class Circuit:
         return cls(alphabet, field, gates, output)
 
 
-def _gate_ref(tok):
-    if not tok.startswith("g"):
-        raise FormatError("bad gate reference %r" % tok)
-    return int(tok[1:])
+def _circuit(alphabet, field, gates, output):
+    """The Circuit of a tuple of gate tuples already known to be valid,
+    built without the checks of `Circuit.__init__`."""
+    c = object.__new__(Circuit)
+    c.alphabet, c.field, c.gates, c.output = alphabet, field, gates, output
+    return c
 
 
 class CircuitBuilder:
@@ -458,6 +490,7 @@ class Abp:
             raise FormatError("%d layers need a layer line per gap, got %d body lines"
                               % (n_layers, len(lines)))
         edges = [dict() for _ in range(n_layers - 1)]
+        labels = {}  # label text -> its polynomial, shared by the edges it labels
         current = None
         for ln in lines:
             if ln.startswith("layer "):
@@ -472,7 +505,10 @@ class Abp:
                 if max(u, v) >= EXPAND_BUDGET:
                     raise BudgetExceededError("edge %d %d: a layer of more than %d nodes"
                                               % (u, v, EXPAND_BUDGET))
-                edges[current][(u, v)] = affine_from_str(parts[3], alphabet, field)
+                label = labels.get(parts[3])
+                if label is None:
+                    label = labels[parts[3]] = affine_from_str(parts[3], alphabet, field)
+                edges[current][(u, v)] = label
             else:
                 raise FormatError("bad abp line %r" % ln)
         sizes = [1] * n_layers
@@ -494,10 +530,9 @@ def affine_to_str(label):
 
 
 def affine_from_str(text, alphabet, field):
-    poly = NcPoly.zero(alphabet, field)
     text = text.strip()
     if text == "0":
-        return poly
+        return NcPoly.zero(alphabet, field)
     terms = []
     for tok in text.split(" + "):
         if "*" in tok:

@@ -31,7 +31,9 @@ BudgetExceededError when its own cost passes the budget;
 `is_irreducible` and `complete_factorizations` charge every search they
 make against one counter, so a single call of either is bounded as a
 whole; for `complete_factorizations` these are only the searches on f,
-and the divisions between its lattice nodes are not charged.
+and the divisions between its lattice nodes are not charged.  Both skip,
+uncharged, every degree at which f's top homogeneous component has no
+left factor (`_top_splits`): such a degree has no search to run.
 """
 
 from __future__ import annotations
@@ -181,11 +183,37 @@ def left_factors(f, k, budget=DEFAULT_BUDGET):
     return [found[key] for key in sorted(found)]
 
 
+def _top_splits(f, k):
+    """False when f has no left factor of degree k by its top homogeneous
+    component alone.  The free algebra is a graded domain, so f = g*h
+    with deg g = k gives top(f) = top(g)*top(h), whose coefficient matrix
+    M_k (rows the length-k prefixes, columns the suffixes) is the outer
+    product of their coefficient vectors, of rank 1.  Every row of M_k is
+    compared with one pivot row, in time linear in the terms of top(f)."""
+    d = f.degree
+    p = f.field.p
+    rows = {}
+    for w, c in f.terms.items():
+        if len(w) == d:
+            rows.setdefault(w[:k], {})[w[k:]] = c
+    pivot = next(iter(rows.values()))
+    s0, c0 = next(iter(pivot.items()))
+    for row in rows.values():
+        if row.keys() != pivot.keys():
+            return False
+        r0 = row[s0]
+        if any((row[s] * c0 - r0 * c) % p for s, c in pivot.items()):
+            return False
+    return True
+
+
 def _metered(budget):
     """`left_factors` charged against one shared step counter: a search
-    that would take the total past `budget` raises before it runs."""
+    that would take the total past `budget` raises before it runs.  A
+    degree that `_top_splits` rules out has no left factor and is not
+    searched, so it is not charged."""
     shared = _SharedBudget(budget)
-    return lambda g, k: left_factors(g, k, shared)
+    return lambda g, k: left_factors(g, k, shared) if _top_splits(g, k) else []
 
 
 def _poly_key(g):

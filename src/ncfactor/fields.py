@@ -134,6 +134,13 @@ class RationalField:
         return Fraction(k)
 
     def parse(self, text):
+        """A rational literal as `Fraction(text)` reads it.  A plain integer
+        is read with `int`, which accepts it as Fraction does and gives
+        the same value, without Fraction's pattern match."""
+        try:
+            return Fraction(int(text))
+        except ValueError:
+            pass
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -19,7 +19,9 @@ from ncfactor.ncpoly import X, Y
 # every `words`, `embed` and `recover` call, enumerates its word set first;
 # a larger request is refused before any word is built.  The benchmark's
 # largest op asks for 600 words; at this limit a paper-mode `recover` of a
-# small circuit takes about 10 s and 0.5 GB.
+# small circuit takes about 2 s and 250 MB peak RSS (`recover
+# tests/golden/embed_circuit_paper.txt --nvars 100000 --mode paper`, in its
+# own process, Python 3.11 on a 2-CPU Xeon host: 1.6-1.8 s, 246 MB).
 WORDS_MAX = 10 ** 5
 
 

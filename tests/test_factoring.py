@@ -421,3 +421,63 @@ def test_embedding_preserves_factorizations_desk_scale():
                 back.append(pre)
             pulled.add(tuple(back))
         assert pulled == {tuple(factors) for _s, factors in tree_f}
+
+
+def _answers(f):
+    """complete_factorizations and is_irreducible of f, or the type of
+    what each raises."""
+    try:
+        irreducible = is_irreducible(f)
+    except Exception as exc:  # the exception type is part of the answer compared
+        irreducible = type(exc)
+    return _outcome(complete_factorizations, f), irreducible
+
+
+def test_top_component_filter_keeps_every_answer(monkeypatch):
+    """The oracle answers the same with and without the top-component
+    filter on seeded products over F2, F3 and F5 whose factors' top
+    components have several words, so that the filter skips degrees."""
+    rng = random.Random(79)
+    fields = (GF2, GF3, PrimeField(5))
+    skipped, several = [0, 0, 0], 0
+    for n in range(90):
+        field = fields[n % 3]
+        ab = Alphabet.nvars(rng.randint(2, 3))
+        f = NcPoly.one(ab, field)
+        for _ in range(rng.randint(2, 3 if field.p < 5 else 2)):
+            d = rng.randint(1, 2)
+            top = [(tuple(rng.randrange(ab.size) for _ in range(d)), rng.randrange(1, field.p))
+                   for _ in range(rng.randint(2, 3))]
+            f = f * (NcPoly(ab, field, top) + rand_poly(rng, ab, field, max_deg=d - 1))
+        if f.degree < 2:
+            continue
+        filtered = _answers(f)
+        with monkeypatch.context() as m:
+            m.setattr(factoring, "_top_splits", lambda g, k: True)
+            assert _answers(f) == filtered, f
+        skipped[n % 3] += sum(not factoring._top_splits(f, k) for k in range(1, f.degree))
+        several += isinstance(filtered[0], list) and len(filtered[0]) > 1
+    assert min(skipped) >= 10 and several >= 3
+
+
+def test_top_component_filter_answers_paper_mode_images(monkeypatch):
+    """Paper-mode images over F3 that lean on x1, of degree 28: searching
+    every degree is planned at 1,456,575 steps for phi(x1*x1 + x1) and at
+    144,635 for phi(x1*x2 + x1), while the top component leaves degree 14
+    alone, at 567 and 189 steps.  With the filter both answer within
+    10^5 steps, as f itself factors; without it both pass that budget."""
+    from ncfactor.embedding import Embedding, phi_poly
+
+    ab = Alphabet.nvars(2)
+    x1, x2 = NcPoly.variable(ab, GF3, 0), NcPoly.variable(ab, GF3, 1)
+    e = Embedding.for_variables(2, "paper")
+    for f in (x1 * x1 + x1, x1 * x2 + x1):
+        image = phi_poly(f, e)
+        assert [k for k in range(1, 28) if factoring._top_splits(image, k)] == [14]
+        assert len(complete_factorizations(image, budget=10 ** 5)) == \
+            len(complete_factorizations(f))
+        assert not is_irreducible(image, budget=10 ** 5)
+        with monkeypatch.context() as m:
+            m.setattr(factoring, "_top_splits", lambda g, k: True)
+            with pytest.raises(BudgetExceededError):
+                complete_factorizations(image, budget=10 ** 5)

@@ -277,3 +277,89 @@ def test_every_command_on_every_file_kind_exits_0_1_or_2(tmp_path):
                 assert err.startswith("error: format:"), (name, args, err)
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+IMAGE_ABP = """\
+ncabp field=Q alphabet=xy layers=3
+layer 0
+edge 0 0 1 + 2*x
+edge 0 1 1*y
+layer 1
+edge 0 0 -1/2 + 1*y
+edge 1 0 1*x
+"""
+
+# Edits that make a gate line malformed, given its tokens `gK = OP ...`
+# and K: tabs for spaces, numbering, op, arity, references (forward ones
+# among them) and operands
+GATE_EDITS = (
+    lambda t, k: ["\t".join(t)],
+    lambda t, k: ["g%d" % (k + 1)] + t[1:],
+    lambda t, k: t[:2] + ["SUB"] + t[3:],
+    lambda t, k: t[:3],
+    lambda t, k: t[:2] + ["ADD", "g0"],
+    lambda t, k: t[:2] + ["MUL", "g%d" % k, "g0"],
+    lambda t, k: t[:2] + ["ADD", "g0", "g%d" % (k + 3)],
+    lambda t, k: t[:2] + ["MUL", "h0", "g0"],
+    lambda t, k: t[:2] + ["ADD", "g0", "g"],
+    lambda t, k: t[:2] + ["VAR", "z"],
+    lambda t, k: t[:2] + ["VAR", "x1"],
+    lambda t, k: t[:2] + ["CONST", "1/0"],
+    lambda t, k: t[:2] + ["CONST", "x"],
+)
+# Edits that make an edge line or its label malformed
+EDGE_EDITS = (
+    lambda t: t[:2],
+    lambda t: t[:3],
+    lambda t: ["edge", "a"] + t[2:],
+    lambda t: ["edge", "-1"] + t[2:],
+    lambda t: t[:3] + ["1*z"],
+    lambda t: t[:3] + ["2*"],
+    lambda t: t[:3] + ["*x"],
+    lambda t: t[:3] + ["1", "+", "+", "1*x"],
+    lambda t: t[:3] + ["x"],
+    lambda t: t[:3] + ["1/0"],
+    lambda t: t[:3] + ["1*xy"],
+    lambda t: t[:3] + ["1*x1"],
+)
+
+
+def _malformed(text):
+    """Each gate, output and edge line of text replaced in turn by each
+    malformed version of it."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        toks = line.split()
+        if line.startswith("g"):
+            edits = [edit(toks, int(toks[0][1:])) for edit in GATE_EDITS]
+        elif line.startswith("output"):
+            edits = [[], ["output", "g%d" % (i - 1)], ["output", "x"]]
+        elif line.startswith("edge"):
+            edits = [edit(toks) for edit in EDGE_EDITS]
+        else:
+            continue
+        for toks in edits:
+            yield "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("text", [(GOLDEN / "embed_circuit.txt").read_text(), IMAGE_ABP],
+                         ids=["circuit", "abp"])
+def test_malformed_lines_exit_1_in_embed_and_recover(tmp_path, text):
+    """Malformed gate, output, edge and label lines are format errors for
+    `recover` and `embed`: exit 1 with `error: format:`, never exit 2 or
+    a traceback.  A forward reference is refused by the checks on parsed
+    text, after the reader has read it."""
+    path = tmp_path / "image.txt"
+    commands = (["recover", str(path), "--nvars", "2"],
+                ["recover", str(path), "--nvars", "2", "--mode", "paper"],
+                ["embed", str(path)])
+    path.write_text(text)
+    assert [run(argv)[0] for argv in commands] == [0, 0, 0]
+    mutants = 0
+    for mutant in _malformed(text):
+        path.write_text(mutant)
+        for argv in commands:
+            code, err = run(argv)
+            assert (code, err[:14]) == (1, "error: format:"), (argv[0], mutant, err)
+        mutants += 1
+    assert mutants >= 40
