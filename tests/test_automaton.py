@@ -10,7 +10,7 @@ from ncfactor.automaton import (build_automaton, recover_abp, recover_blackbox, 
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
-from ncfactor.fields import GF2, QQ
+from ncfactor.fields import GF2, GF3, QQ
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, X, Y
 from ncfactor.words import WordSet, enumerate_words
@@ -33,6 +33,25 @@ def rand_poly(rng, n, field, max_deg=3, max_terms=4, ensure_nonzero=False):
     if ensure_nonzero and f.is_zero():
         f = NcPoly.one(alphabet, field)
     return f
+
+
+def parse_into_words(word, wordset):
+    """Factor a bivariate word into wordset elements (indices), or None:
+    the reference reader of embedding words, trying every word at every
+    position.  Prefix-freeness makes the greedy parse the only one."""
+    out = []
+    pos = 0
+    while pos < len(word):
+        hit = None
+        for i, v in enumerate(wordset.words):
+            if word[pos:pos + len(v)] == v:
+                hit = i
+                pos += len(v)
+                break
+        if hit is None:
+            return None
+        out.append(hit)
+    return tuple(out)
 
 
 def test_build_automaton_single_word():
@@ -103,8 +122,6 @@ def test_kill_and_parse_properties_exhaustive():
     mirrored factor contributes nothing: it starts with y at its first
     mirrored factor, where no embedding word can match.
     """
-    from ncfactor.embedding import parse_into_words
-
     for n in (1, 2):
         ws = enumerate_words(n, "compact")
         a = build_automaton(ws)
@@ -228,10 +245,43 @@ def raw_sum(rng, wordset, nterms):
 def parsed_part(g, e):
     """The terms of g whose words are concatenations of embedding words,
     rewritten over x_1..x_n: what the automaton reads off g."""
-    from ncfactor.embedding import parse_into_words
-
     terms = [(parse_into_words(word, e.wordset), c) for word, c in g.terms.items()]
     return NcPoly(Alphabet.nvars(e.n), g.field, [t for t in terms if t[0] is not None])
+
+
+def mixed_poly(rng, wordset, field, nterms):
+    """xy polynomial whose words are image words (one to three embedding
+    words), mirrored ones (an image word with some embedding word
+    mirrored), random words (which parse into no embedding word, or by
+    chance do) and a constant term, with seeded nonzero coefficients."""
+    terms = [((), field.from_int(rng.randint(1, 5)))]
+    for _ in range(nterms):
+        kind = rng.randrange(3)
+        if kind == 2:
+            word = tuple(rng.randrange(2) for _ in range(rng.randint(1, 12)))
+        else:
+            word = ()
+            for _ in range(rng.randint(1, 3)):
+                v = rng.choice(wordset.words)
+                word += tuple(1 - a for a in v) if kind and rng.random() < 0.5 else v
+        terms.append((word, field.from_int(rng.randint(1, 5))))
+    return NcPoly(AB, field, terms)
+
+
+@pytest.mark.parametrize("mode", ["compact", "paper"])
+def test_dense_recovery_matches_parse_reference(mode):
+    """Reading an xy polynomial through the automaton keeps exactly the
+    words that parse into embedding words, with the constant term, over
+    F2, F3 and Q at n = 1, 4, 16 and 64."""
+    rng = random.Random(41 if mode == "paper" else 40)
+    for n in (1, 4, 16, 64):
+        e = Embedding.for_variables(n, mode)
+        a = build_automaton(e.wordset)
+        for field in (GF2, GF3, QQ):
+            for nterms in (1, 6, 20):
+                g = mixed_poly(rng, e.wordset, field, nterms)
+                expected = parsed_part(g, e)
+                assert recover_circuit(circuit_from_poly(g), a).expand() == expected
 
 
 # sha256 of the recovered circuits' text, recorded with the full |Q|-row
