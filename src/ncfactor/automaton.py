@@ -14,7 +14,8 @@ is stored as those entries alone, one move table per letter, and the
 recovery routines read the tables directly.
 
 Only row q0 of g'(M_x, M_y) is read, so recovery follows the scan from
-q0 and never touches the rest: `recover_circuit` first finds the rows of
+q0 and never touches the rest: `recover_poly` scans each word of a
+dense polynomial once; `recover_circuit` first finds the rows of
 each gate's matrix that row q0 of the output depends on, then builds
 only those, at a cost of O(gates x rows reached) instead of
 O(gates x |Q|); `recover_abp` writes edges only from the (node, state)
@@ -23,7 +24,7 @@ pairs the source reaches.
 
 from __future__ import annotations
 
-from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
+from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment
 from ncfactor.errors import SoundnessError
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, X, Y
@@ -36,7 +37,7 @@ class SubstAutomaton:
     moves = (mx, my): moves[letter] maps a state q to (q', out), the one
     nonzero entry (q, q') of M_letter, in ascending q; out is the index of
     the variable emitted, or None.  A state missing from moves[letter]
-    has a zero row there: the scan dies, which `run` reports as qr.
+    has a zero row there: the scan dies, and the word reads as zero.
     """
 
     __slots__ = ("n_vars", "n_states", "q0", "root", "qf", "qr", "moves")
@@ -49,23 +50,6 @@ class SubstAutomaton:
         self.qf = qf
         self.qr = qf + 1
         self.moves = moves
-
-    def run(self, word):
-        """Scan a word from q0: (end state, scalar, emitted variable word).
-
-        The scalar is 0, and the end state qr, exactly when some letter
-        has no move on the way.
-        """
-        state = self.q0
-        emitted = []
-        for letter in word:
-            move = self.moves[letter].get(state)
-            if move is None:
-                return self.qr, 0, ()
-            state, out = move
-            if out is not None:
-                emitted.append(out)
-        return state, 1, tuple(emitted)
 
 
 def build_automaton(wordset):
@@ -174,6 +158,35 @@ def _check_bivariate(obj):
     those two letters, so any other alphabet has no preimage."""
     if not obj.alphabet.is_bivariate:
         raise ValueError("recovery expects an input over xy, not %s" % obj.alphabet.spec())
+
+
+def recover_poly(g, automaton):
+    """Entry (q0, qf) + (q0, q0) of an xy polynomial g at (M_x, M_y).
+
+    Each word of g is scanned once from q0 over the move tables.  A word
+    that ends at qf is a concatenation of embedding words and keeps its
+    coefficient on the variables it emitted; the empty word, the only
+    one that ends at q0, keeps the constant term; every other word dies
+    or ends elsewhere and reads as zero.
+    """
+    _check_bivariate(g)
+    moves = automaton.moves
+    ends = (automaton.qf, automaton.q0)
+    terms = []
+    for word, coeff in g.terms.items():
+        state = automaton.q0
+        emitted = []
+        for letter in word:
+            move = moves[letter].get(state)
+            if move is None:
+                break
+            state, out = move
+            if out is not None:
+                emitted.append(out)
+        else:
+            if state in ends:
+                terms.append((emitted, coeff))
+    return NcPoly(Alphabet.nvars(automaton.n_vars), g.field, terms)
 
 
 def recover_circuit(c, automaton):
@@ -342,14 +355,15 @@ def reduce_and_recover(c, embedding, oracle):
     """The full white-box pipeline: embed the circuit or ABP (by
     `phi_circuit` or `phi_abp`), hand the expanded bivariate image to the
     factorization oracle, and pull each factor of the first
-    factorization back through the automaton.
+    factorization back through the automaton by `recover_poly`.
 
     Returns the factors as polynomials over c's own alphabet whose
-    product is the input polynomial: the expansions of the recovered
-    circuits.  They inherit irreducibility from the bivariate side.
-    That answer is checked end to end: SoundnessError when the factors
-    do not multiply back to c's expansion, or when a factor comes back
-    constant from a nonconstant bivariate one.
+    product is the input polynomial.  They inherit irreducibility from
+    the bivariate side.  The answer is in one normal form whatever the
+    word set: every factor is monic in c's own monomial order, and the
+    first one carries the oracle's scalar times the leading coefficients
+    divided out (a factor monic in the xy order need not be monic in
+    c's order).  It is checked end to end by `_check_recovered`.
     """
     from ncfactor.embedding import phi_abp, phi_circuit
 
@@ -357,32 +371,34 @@ def reduce_and_recover(c, embedding, oracle):
         raise ValueError("the embedding is for %d variables, the input has %d"
                          % (embedding.n, c.alphabet.size))
     embedded = (phi_abp if isinstance(c, Abp) else phi_circuit)(c, embedding)
-    image = embedded.expand()
-    tree = oracle(image)
+    tree = oracle(embedded.expand())
     if not tree.factorizations:
         raise ValueError("oracle returned no factorization")
     scalar, factors = tree.factorizations[0]
     automaton = build_automaton(embedding.wordset)
-    out = []
-    for idx, factor in enumerate(factors):
-        poly = factor if idx or scalar == c.field.one else factor.scale(scalar)
-        recovered = recover_circuit(circuit_from_poly(poly), automaton)
-        out.append(Circuit(c.alphabet, c.field, recovered.gates, recovered.output))
-    if not factors:
-        out.append(circuit_from_poly(NcPoly.constant(c.alphabet, c.field, scalar)))
-    return _check_recovered(c, out, factors)
+    recovered = [NcPoly(c.alphabet, c.field, recover_poly(factor, automaton).terms)
+                 for factor in factors]
+    return _check_recovered(c, scalar, recovered, factors)
 
 
-def _check_recovered(c, out, factors):
-    """The expansions of the circuits `out` recovered from the bivariate
-    `factors`; SoundnessError unless they multiply back to c.  Runs under
-    -O too."""
-    expanded = [circuit.expand() for circuit in out]
-    if any(g.degree < 1 <= factor.degree for g, factor in zip(expanded, factors)):
+def _check_recovered(c, scalar, recovered, factors):
+    """The polynomials `recovered` from the bivariate `factors`, in
+    normal form: each made monic, scalar times their leading
+    coefficients put on the first.  SoundnessError when a nonconstant
+    factor came back constant, or when the answer does not multiply back
+    to c.  Runs under -O too."""
+    if any(g.degree < 1 <= factor.degree for g, factor in zip(recovered, factors)):
         raise SoundnessError("a nonconstant bivariate factor was recovered as a constant")
-    product = expanded[0]
-    for g in expanded[1:]:
+    head = NcPoly.constant(c.alphabet, c.field, scalar)
+    out = []
+    for g in recovered:
+        lead, g = g.monic()
+        head = head.scale(lead)
+        out.append(g)
+    out = [head * out[0]] + out[1:] if out else [head]
+    product = out[0]
+    for g in out[1:]:
         product = product * g
     if product != c.expand():
         raise SoundnessError("the recovered factors do not multiply back to the input")
-    return expanded
+    return out

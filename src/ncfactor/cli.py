@@ -17,7 +17,7 @@ import random
 import sys
 
 from ncfactor import textio
-from ncfactor.automaton import (build_automaton, recover_abp, recover_circuit,
+from ncfactor.automaton import (build_automaton, recover_abp, recover_circuit, recover_poly,
                                 reduce_and_recover)
 from ncfactor.circuits import Abp, Circuit, MatrixAssignment, circuit_from_poly, eval_word
 from ncfactor.embedding import Embedding, phi_abp, phi_circuit, phi_poly
@@ -92,12 +92,12 @@ def cmd_embed(args):
 def cmd_recover(args):
     obj = _load_any(args.input)
     automaton = build_automaton(enumerate_words(args.nvars, args.mode))
-    if isinstance(obj, Circuit):
+    if isinstance(obj, NcPoly):
+        out = recover_poly(obj, automaton).to_text()
+    elif isinstance(obj, Circuit):
         out = recover_circuit(obj, automaton).to_text()
-    elif isinstance(obj, Abp):
-        out = recover_abp(obj, automaton).to_text()
     else:
-        raise FormatError("recover expects a circuit or ABP file")
+        out = recover_abp(obj, automaton).to_text()
     _write_out(out, args.output)
     return 0
 

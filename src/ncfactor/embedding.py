@@ -4,12 +4,13 @@ two variables, plus its dense inverse and the naive substitution it improves on.
 Variable x_i maps to v_i + bar(v_i) for an ordered set of distinct
 minimally balanced words v_i; the map extends to words by multiplication
 and to polynomials by linearity.  Because minimally balanced words are
-prefix-free, words built from them parse uniquely, which drives the
-dense inverse.
+prefix-free, words built from them parse uniquely; the dense inverse
+reads that parse off the substitution automaton (`recover_poly`).
 """
 
 from __future__ import annotations
 
+from ncfactor.automaton import build_automaton, recover_poly
 from ncfactor.circuits import Abp, CircuitBuilder, MatrixAssignment
 from ncfactor.ncpoly import Alphabet, NcPoly, bar, imbalance
 from ncfactor.words import enumerate_words, is_minimally_balanced
@@ -161,42 +162,15 @@ def phi_blackbox(bb, embedding, field):
     return embedded
 
 
-def parse_into_words(word, wordset):
-    """Factor a bivariate word into wordset elements (indices), or None.
-
-    Prefix-freeness makes the greedy parse the only possible one.
-    """
-    out = []
-    pos = 0
-    while pos < len(word):
-        hit = None
-        for i, v in enumerate(wordset.words):
-            if word[pos:pos + len(v)] == v:
-                hit = i
-                pos += len(v)
-                break
-        if hit is None:
-            return None
-        out.append(hit)
-    return tuple(out)
-
-
 def phi_inverse_poly(g, embedding):
     """Dense inverse: the preimage f with phi(f) = g, or None.
 
-    Candidate terms are read off the words that parse as v-sequences;
-    a final exact comparison rejects anything outside the image.
+    The candidate is what `recover_poly` reads off g through the
+    automaton; a final exact comparison rejects anything outside the
+    image.
     """
-    field = g.field
-    candidate_terms = []
-    for word, coeff in g.terms.items():
-        parsed = parse_into_words(word, embedding.wordset)
-        if parsed is not None:
-            candidate_terms.append((parsed, coeff))
-    f = NcPoly(embedding.source_alphabet, field, candidate_terms)
-    if phi_poly(f, embedding) == g:
-        return f
-    return None
+    f = recover_poly(g, build_automaton(embedding.wordset))
+    return f if phi_poly(f, embedding) == g else None
 
 
 def naive_substitution(f):

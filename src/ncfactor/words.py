@@ -78,11 +78,6 @@ def _family(length, k):
         yield head + d + tail
 
 
-def minimally_balanced_words(length):
-    """All minimally balanced words of the given even length, ascending."""
-    yield from _family(length, 1)
-
-
 def minimally_balanced_up_to(max_length):
     """All minimally balanced words of length <= max_length, shortest first
     and ascending within a length — the canonical indexing u_1, u_2, ...

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from ncfactor.automaton import (build_automaton, recover_abp, recover_blackbox, recover_circuit,
-                                reduce_and_recover)
+                                recover_poly, reduce_and_recover)
 from ncfactor.circuits import Abp, Circuit, CircuitBuilder, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import Embedding, phi_abp, phi_blackbox, phi_circuit
 from ncfactor.factoring import complete_factorizations, is_irreducible
@@ -110,13 +110,15 @@ def test_transition_matrix_entries():
     # every transition into qf emits, and it emits its word's variable
     into_qf = sorted(out for table in a.moves for q2, out in table.values() if q2 == a.qf)
     assert into_qf == [0, 1, 2]
-    assert a.run(w("xyxxyyxxyxyy")) == (a.qf, 1, (0, 1, 2))
-    assert a.run(w("xyy")) == (a.qr, 0, ())
+    assert recover_poly(NcPoly.monomial(AB, QQ, w("xyxxyyxxyxyy")), a) == \
+        NcPoly.monomial(Alphabet.nvars(3), QQ, (0, 1, 2))
+    assert recover_poly(NcPoly.monomial(AB, QQ, w("xyy")), a).is_zero()
 
 
 def test_kill_and_parse_properties_exhaustive():
-    """The accept-entry weight of a word is nonzero exactly when the word
-    is a concatenation of embedding words, and then it equals the parse.
+    """A word reads as nonzero exactly when it is a concatenation of
+    embedding words, and then as the monomial of its parse; the empty
+    word is the constant term, entry (q0, q0).
 
     In particular every tensor word of an image monomial that involves a
     mirrored factor contributes nothing: it starts with y at its first
@@ -127,13 +129,12 @@ def test_kill_and_parse_properties_exhaustive():
         a = build_automaton(ws)
         for length in range(0, 9):
             for word in product((0, 1), repeat=length):
-                state, scalar, emitted = a.run(word)
-                accept_weight = emitted if (state == a.qf and scalar) else None
+                back = recover_poly(NcPoly.monomial(AB, QQ, word), a)
                 parsed = parse_into_words(word, ws)
-                if parsed is not None and len(word) > 0:
-                    assert accept_weight == parsed, (word, n)
+                if parsed is not None:
+                    assert back == NcPoly.monomial(Alphabet.nvars(n), QQ, parsed), (word, n)
                 else:
-                    assert accept_weight is None, (word, n)
+                    assert back.is_zero(), (word, n)
 
 
 def test_mixed_tensor_words_are_killed():
@@ -150,11 +151,11 @@ def test_mixed_tensor_words_are_killed():
                     word = ()
                     for i, m in zip(idxs, mask):
                         word += bars[i] if m else ws.words[i]
-                    state, scalar, emitted = a.run(word)
+                    back = recover_poly(NcPoly.monomial(AB, QQ, word), a)
                     if any(mask):
-                        assert not (state == a.qf and scalar), (idxs, mask)
+                        assert back.is_zero(), (idxs, mask)
                     else:
-                        assert state == a.qf and scalar == 1 and emitted == idxs
+                        assert back == NcPoly.monomial(Alphabet.nvars(n), QQ, idxs)
 
 
 def test_recover_circuit_examples():
@@ -270,9 +271,9 @@ def mixed_poly(rng, wordset, field, nterms):
 
 @pytest.mark.parametrize("mode", ["compact", "paper"])
 def test_dense_recovery_matches_parse_reference(mode):
-    """Reading an xy polynomial through the automaton keeps exactly the
-    words that parse into embedding words, with the constant term, over
-    F2, F3 and Q at n = 1, 4, 16 and 64."""
+    """Reading an xy polynomial through the automaton, densely or as a
+    circuit, keeps exactly the words that parse into embedding words,
+    with the constant term, over F2, F3 and Q at n = 1, 4, 16 and 64."""
     rng = random.Random(41 if mode == "paper" else 40)
     for n in (1, 4, 16, 64):
         e = Embedding.for_variables(n, mode)
@@ -282,6 +283,7 @@ def test_dense_recovery_matches_parse_reference(mode):
                 g = mixed_poly(rng, e.wordset, field, nterms)
                 expected = parsed_part(g, e)
                 assert recover_circuit(circuit_from_poly(g), a).expand() == expected
+                assert recover_poly(g, a) == expected
 
 
 # sha256 of the recovered circuits' text, recorded with the full |Q|-row

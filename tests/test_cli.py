@@ -58,27 +58,34 @@ def test_reduce_pipeline(tmp_path):
     assert "1 x1" in out and "1 x2" in out
 
 
-def test_reduce_expands_each_recovered_factor_once(tmp_path, capsys, monkeypatch):
-    """One `reduce` of x1*x2 + x1 over F2 expands the bivariate image, the
-    input for the end-to-end check and each of the two recovered factors
-    once; the printed factors are the check's expansions."""
+def test_reduce_expands_the_image_and_the_input_once(tmp_path, capsys, monkeypatch):
+    """One `reduce` of x1*x2 + x1 over F2 expands the bivariate image and
+    the input (for the end-to-end check) once each, and builds no circuit
+    over x1..x2 but the input's: the factors are pulled back as
+    polynomials, never as circuits."""
     ab2 = Alphabet.nvars(2)
     x1 = NcPoly.variable(ab2, GF2, 0)
     x2 = NcPoly.variable(ab2, GF2, 1)
     path = tmp_path / "g.poly"
     path.write_text((x1 * x2 + x1).to_text())
-    calls = []
-    expand = Circuit.expand
+    expanded, built = [], []
+    expand, init = Circuit.expand, Circuit.__init__
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.alphabet)
+    def counted_expand(self, *args, **kwargs):
+        expanded.append(self.alphabet)
         return expand(self, *args, **kwargs)
 
-    monkeypatch.setattr(Circuit, "expand", counted)
+    def counted_init(self, alphabet, *args, **kwargs):
+        built.append(alphabet)
+        init(self, alphabet, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "expand", counted_expand)
+    monkeypatch.setattr(Circuit, "__init__", counted_init)
     assert cli.main(["reduce", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "factors 2"
-    assert calls.count(AB) == 1 and calls.count(ab2) == 3
+    assert expanded.count(AB) == 1 and expanded.count(ab2) == 1
+    assert built.count(ab2) == 1
 
 
 def test_embed_recover_round_trip(tmp_path):
@@ -280,6 +287,35 @@ def _dense_product(rng, alphabet, field, degrees, nterms):
     return f
 
 
+# Over F3 the factors x2, x3 + 1 and x1.x1 + 2 x3 + 1 come back from the
+# compact word set as 2 x2 and 2 x1.x1 + x3 + 2: monic in the xy order,
+# not in x1..x3's
+F3_MODE_EXAMPLE = "ncpoly field=F3 alphabet=x1..x3\n1 x2.x3.x1.x1\n1 x2.x1.x1\n2 x2.x3.x3\n1 x2\n"
+
+
+def test_reduce_paper_mode_equals_compact_mode(tmp_path):
+    """reduce prints one normal form whatever the word set: on seeded
+    products over F2, F3 and F5 in two and three variables, of degree 3
+    and 4 with lower terms, --mode paper prints compact mode's bytes
+    under the default budget."""
+    rng = random.Random(1)
+    texts = [F3_MODE_EXAMPLE]
+    for p in (2, 3, 5):
+        for n in (2, 3):
+            for degrees in ((1, 2), (2, 2), (1, 1, 2)):
+                texts.append(_dense_product(rng, Alphabet.nvars(n), PrimeField(p),
+                                            degrees, 2).to_text())
+    src = tmp_path / "f.poly"
+    for text in texts:
+        src.write_text(text)
+        outs = []
+        for mode in ("compact", "paper"):
+            out = tmp_path / (mode + ".txt")
+            assert cli.main(["reduce", "--mode", mode, str(src), "-o", str(out)]) == 0, text
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], text
+
+
 ORACLE_PINS = {
     "factor-dense": "adb1dc12caba91881c5ee4161d9a2d8f54e5ba6061a0e000dbafcaf440eb18bb",
     "reduce": "86719bfe76cc292c0955e6f5f949955650891b25ce94dd082371cb2362954ad5",
@@ -392,6 +428,7 @@ NON_BIVARIATE = [
     ("circuit-x1..x3", "ncc field=Q alphabet=x1..x3\ng0 = VAR x3\noutput g0\n"),
     ("circuit-x1..x2", (GOLDEN / "inputs" / "f.ncc").read_text()),
     ("abp-x1..x3", "ncabp field=Q alphabet=x1..x3 layers=2\nlayer 0\nedge 0 0 1 + 2*x3 + 1*x1\n"),
+    ("ncpoly-x1..x3", "ncpoly field=Q alphabet=x1..x3\n1 x3.x1\n2 1\n"),
 ]
 
 
@@ -403,6 +440,19 @@ def test_recover_refuses_non_bivariate_input(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: domain:")
+
+
+@pytest.mark.parametrize("mode", ["compact", "paper"])
+def test_recover_reads_ncpoly_images(tmp_path, capsys, mode):
+    """recover pulls an embedded polynomial back to the input, byte for
+    byte: the golden image in compact mode, and a fresh paper-mode one."""
+    source = GOLDEN / "inputs" / "f2.poly"
+    image = GOLDEN / "embed_f2.txt"
+    if mode == "paper":
+        image = tmp_path / "image.txt"
+        assert cli.main(["embed", "--mode", mode, str(source), "-o", str(image)]) == 0
+    assert cli.main(["recover", "--mode", mode, str(image), "--nvars", "2"]) == 0
+    assert capsys.readouterr().out == source.read_text()
 
 
 @pytest.mark.parametrize("mode", ["compact", "paper"])

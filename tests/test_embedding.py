@@ -4,12 +4,13 @@ import pytest
 
 from ncfactor.circuits import Abp, MatrixAssignment, circuit_from_poly
 from ncfactor.embedding import (Embedding, decompose_balanced, naive_substitution,
-                                parse_into_words, phi_abp, phi_blackbox,
-                                phi_circuit, phi_inverse_poly, phi_poly)
+                                phi_abp, phi_blackbox, phi_circuit, phi_inverse_poly,
+                                phi_poly)
 from ncfactor.fields import GF2, QQ
 from ncfactor.matrix import Matrix
 from ncfactor.ncpoly import Alphabet, NcPoly, bar, imbalance
 from ncfactor.words import is_minimally_balanced
+from test_automaton import parse_into_words
 
 AB = Alphabet.bivariate()
 

@@ -9,7 +9,6 @@ import pytest
 
 from ncfactor import automaton, cli, factoring, linmat, words
 from ncfactor.automaton import build_automaton
-from ncfactor.circuits import circuit_from_poly
 from ncfactor.errors import SoundnessError
 from ncfactor.factoring import complete_factorizations, left_factors
 from ncfactor.fields import GF2, QQ
@@ -117,9 +116,9 @@ def test_automaton_guards_raise_soundness_error(monkeypatch):
 
 
 def _recover_as(polys):
-    """A `recover_circuit` that returns circuits for `polys`, one per call."""
+    """A `recover_poly` that returns `polys`, one per call."""
     polys = iter(polys)
-    return lambda circuit, automaton: circuit_from_poly(next(polys))
+    return lambda poly, automaton: next(polys)
 
 
 def test_reduce_checks_the_recovered_factors(monkeypatch, tmp_path, capsys):
@@ -134,7 +133,7 @@ def test_reduce_checks_the_recovered_factors(monkeypatch, tmp_path, capsys):
     assert cli.main(["reduce", str(path)]) == 0
     capsys.readouterr()
     for recovered in ([x1 + one, x2 + one], [one, f]):
-        monkeypatch.setattr(automaton, "recover_circuit", _recover_as(recovered))
+        monkeypatch.setattr(automaton, "recover_poly", _recover_as(recovered))
         assert cli.main(["reduce", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

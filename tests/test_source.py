@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ncfactor"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ncfactor"
 
 
 def _bound_names(node):
@@ -28,12 +29,16 @@ def _references(node):
     return out
 
 
+def _statements(paths):
+    """(file name, module-level statement) for every statement of the files."""
+    return [(path.name, node) for path in paths for node in ast.parse(path.read_text()).body]
+
+
 def test_every_private_module_name_is_used():
     """A module-level private name (`_x`) that no other statement of the
     package reads is a helper left behind; public names are API and are
     not checked."""
-    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
-                  for node in ast.parse(path.read_text()).body]
+    statements = _statements(sorted(SRC.glob("*.py")))
     refs = [_references(node) for _module, node in statements]
     total = sum(refs, Counter())
     unused = []
@@ -42,3 +47,18 @@ def test_every_private_module_name_is_used():
             if name.startswith("_") and not name.startswith("__") and total[name] == own[name]:
                 unused.append("%s: %s" % (module, name))
     assert not unused, "private names read nowhere else: %s" % ", ".join(unused)
+
+
+def test_every_public_function_and_class_is_used():
+    """A public module-level function or class of the package that no
+    statement of the package, the tests or the benchmark reads, other
+    than its own definition, is dead API."""
+    package = _statements(sorted(SRC.glob("*.py")))
+    readers = _statements(sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+                          + sorted((ROOT / "perfbench").glob("*.py")))
+    total = sum((_references(node) for _module, node in readers), Counter())
+    unused = ["%s: %s" % (module, node.name) for module, node in package
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and total[node.name] == _references(node)[node.name]]
+    assert not unused, "public names read nowhere: %s" % ", ".join(unused)
