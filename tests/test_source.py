@@ -36,8 +36,8 @@ def _statements(paths):
 
 def test_every_private_module_name_is_used():
     """A module-level private name (`_x`) that no other statement of the
-    package reads is a helper left behind; public names are API and are
-    not checked."""
+    package reads is a helper left behind; public names, which the tests
+    and the benchmark may read too, are checked below."""
     statements = _statements(sorted(SRC.glob("*.py")))
     refs = [_references(node) for _module, node in statements]
     total = sum(refs, Counter())
