@@ -287,9 +287,9 @@ def _dense_product(rng, alphabet, field, degrees, nterms):
     return f
 
 
-# Over F3 the factors x2, x3 + 1 and x1.x1 + 2 x3 + 1 come back from the
-# compact word set as 2 x2 and 2 x1.x1 + x3 + 2: monic in the xy order,
-# not in x1..x3's
+# Over F3 two factors of the compact image that are monic in the xy
+# order pull back to 2 x2 and 2 x1.x1 + x3 + 2, which reduce must print
+# as x2 and x1.x1 + 2 x3 + 1, as paper mode and factor-dense do
 F3_MODE_EXAMPLE = "ncpoly field=F3 alphabet=x1..x3\n1 x2.x3.x1.x1\n1 x2.x1.x1\n2 x2.x3.x3\n1 x2\n"
 
 
